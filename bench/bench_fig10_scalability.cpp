@@ -56,9 +56,8 @@ int main() {
         (void)fg::baselines::vendor::csr_spmm(mini.graph.in_csr(), x, 1);
       }) /
       mini_work;
-  fg::core::CpuSpmmSchedule fg_sched;
-  fg_sched.num_partitions = 16;
-  fg_sched.feat_tile = 64;
+  const fg::core::CpuSpmmSchedule fg_sched =
+      fg::core::spmm_schedule(fg::core::ScheduleIr().partition(16).tile(64));
   const double fg_per_unit =
       fb::measure_seconds([&] {
         (void)fg::core::spmm(mini.graph.in_csr(), "copy_u", "sum", fg_sched,

@@ -68,9 +68,11 @@ int main() {
 
     double baseline = 0.0;
     for (const auto& cfg : configs) {
-      fg::core::CpuSpmmSchedule sched;
-      sched.num_partitions = cfg.partitions;
-      sched.feat_tile = std::min<std::int64_t>(cfg.tile, len);
+      const std::int64_t tile = std::min<std::int64_t>(cfg.tile, len);
+      fg::core::ScheduleIr ir;
+      if (cfg.partitions > 1) ir.partition(cfg.partitions);
+      if (tile > 0) ir.tile(tile);
+      const fg::core::CpuSpmmSchedule sched = fg::core::spmm_schedule(ir);
       const double secs = fb::measure_seconds([&] {
         (void)fg::core::spmm(d.graph.in_csr(), "copy_u", "sum", sched,
                              {&x, nullptr, nullptr});
@@ -78,7 +80,7 @@ int main() {
       if (baseline == 0.0) baseline = secs;
       char sched_str[48];
       std::snprintf(sched_str, sizeof(sched_str), "parts=%d tile=%lld",
-                    cfg.partitions, static_cast<long long>(sched.feat_tile));
+                    cfg.partitions, static_cast<long long>(tile));
       t.add_row({std::to_string(len), cfg.name, sched_str,
                  Table::num(secs, 4), fb::speedup_str(baseline, secs)});
     }

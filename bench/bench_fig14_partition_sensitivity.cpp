@@ -37,9 +37,10 @@ int main() {
   for (int fp : feat_parts) {
     std::vector<std::string> row = {"# feature parts = " + std::to_string(fp)};
     for (int gp : graph_parts) {
-      fg::core::CpuSpmmSchedule sched;
-      sched.num_partitions = gp;
-      sched.feat_tile = kFeatLen / fp;
+      fg::core::ScheduleIr ir;
+      if (gp > 1) ir.partition(gp);
+      ir.tile(kFeatLen / fp);
+      const fg::core::CpuSpmmSchedule sched = fg::core::spmm_schedule(ir);
       const double secs = fb::measure_seconds([&] {
         (void)fg::core::spmm(d.graph.in_csr(), "copy_u", "sum", sched,
                              {&x, nullptr, nullptr});

@@ -48,17 +48,15 @@ struct MicroFixture {
 Isa isa_arg(std::int64_t v) {
   return v == 0 ? Isa::kScalar : v == 1 ? Isa::kAvx2 : Isa::kAvx512;
 }
-LoadBalance lb_arg(std::int64_t v) {
-  return v == 0 ? LoadBalance::kStaticRows : LoadBalance::kNnzBalanced;
-}
 
 void BM_SpmmCopyUSum(benchmark::State& state) {
   auto& f = MicroFixture::get();
-  CpuSpmmSchedule sched;
-  sched.num_partitions = static_cast<int>(state.range(0));
-  sched.feat_tile = state.range(1);
-  sched.load_balance = lb_arg(state.range(3));
-  sched.num_threads = static_cast<int>(state.range(4));
+  fg::core::ScheduleIr ir;
+  if (state.range(0) > 1) ir.partition(static_cast<int>(state.range(0)));
+  if (state.range(1) > 0) ir.tile(state.range(1));
+  if (state.range(3) == 0) ir.split_nnz(LoadBalance::kStaticRows);
+  const CpuSpmmSchedule sched =
+      fg::core::spmm_schedule(ir, static_cast<int>(state.range(4)));
   fg::simd::ScopedIsa pin(isa_arg(state.range(2)));
   for (auto _ : state) {
     auto out = fg::core::spmm(f.in_csr, "copy_u", "sum", sched,
@@ -72,8 +70,9 @@ void BM_SpmmMlpMax(benchmark::State& state) {
   auto& f = MicroFixture::get();
   static Tensor x8 = Tensor::randn({20000, 8}, 9);
   static Tensor w = Tensor::randn({8, 64}, 10);
-  CpuSpmmSchedule sched;
-  sched.num_partitions = static_cast<int>(state.range(0));
+  fg::core::ScheduleIr ir;
+  if (state.range(0) > 1) ir.partition(static_cast<int>(state.range(0)));
+  const CpuSpmmSchedule sched = fg::core::spmm_schedule(ir);
   fg::simd::ScopedIsa pin(isa_arg(state.range(1)));
   for (auto _ : state) {
     auto out = fg::core::spmm(f.in_csr, "mlp", "max", sched, {&x8, nullptr, &w});
@@ -86,7 +85,9 @@ void BM_SddmmDot(benchmark::State& state) {
   auto& f = MicroFixture::get();
   fg::core::CpuSddmmSchedule sched;
   sched.hilbert_order = state.range(0) != 0;
-  sched.reduce_tile = state.range(1);
+  if (state.range(1) > 0)
+    sched.ir = std::make_shared<const fg::core::ScheduleIr>(
+        fg::core::ScheduleIr().tile(state.range(1)));
   fg::simd::ScopedIsa pin(isa_arg(state.range(2)));
   for (auto _ : state) {
     auto out = fg::core::sddmm(f.coo, "dot", sched, {&f.x, nullptr});
@@ -149,9 +150,9 @@ void record_baseline() {
   const auto time_spmm = [&](const Tensor& x, Isa isa, LoadBalance lb,
                              int threads) {
     fg::simd::ScopedIsa pin(isa);
-    CpuSpmmSchedule sched;
-    sched.num_threads = threads;
-    sched.load_balance = lb;
+    fg::core::ScheduleIr ir;
+    if (lb != LoadBalance::kNnzBalanced) ir.split_nnz(lb);
+    const CpuSpmmSchedule sched = fg::core::spmm_schedule(ir, threads);
     const fg::core::SpmmOperands ops{&x, nullptr, nullptr};
     return fg::bench::measure_seconds(
         [&] { (void)fg::core::spmm(in_csr, "copy_u", "sum", sched, ops); });

@@ -1,10 +1,11 @@
-// Schedule-IR tuner benchmark (ISSUE 6): flat-knob grid tuning vs
-// Schedule-IR grid tuning for the CPU kernels the IR can actually help —
-// register-blocked feature tiles (tile(W).unroll(U) -> simd::accum_rows /
+// Schedule-IR tuner benchmark: the paper's grid (partition x tile x
+// split_nnz, default_spmm_candidates) vs the wider Schedule-IR grid
+// (default_spmm_ir_candidates) for the CPU kernels the IR can actually help
+// — register-blocked feature tiles (tile(W).unroll(U) -> simd::accum_rows /
 // waxpy_rows keep the output tile pinned in vector registers across a row's
-// whole in-edge group) are unreachable from the flat knobs, so the IR-tuned
-// winner beats the flat-tuned winner wherever the per-edge load+store of
-// the output row was the bottleneck. Runs every supported ISA and splices a
+// whole in-edge group) are outside the paper's grid, so the IR-tuned winner
+// beats the paper-grid-tuned winner wherever the per-edge load+store of the
+// output row was the bottleneck. Runs every supported ISA and splices a
 // "schedule_ir" section into BENCH_kernels.json (the trajectory file
 // bench_micro_kernels seeds).
 //
@@ -27,24 +28,17 @@ using fg::tensor::Tensor;
 
 namespace {
 
-/// Human-readable spelling of a tuned schedule: the attached IR program, or
-/// the flat knobs that won.
+/// Human-readable spelling of a tuned schedule's program.
 std::string describe(const CpuSpmmSchedule& s) {
-  if (s.ir != nullptr) return s.ir->describe().empty() ? "<default>"
-                                                       : s.ir->describe();
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "flat{parts=%d, tile=%lld, lb=%s}",
-                s.num_partitions, static_cast<long long>(s.feat_tile),
-                s.load_balance == fg::core::LoadBalance::kNnzBalanced
-                    ? "nnz"
-                    : "rows");
-  return buf;
+  if (s.ir == nullptr || s.ir->empty()) return "<default>";
+  return s.ir->describe();
 }
 
 struct RowResult {
   std::string name;
-  // Parallel to the ISA list: flat-tuned best, IR-tuned best, IR winner.
-  std::vector<double> flat_sec, ir_sec;
+  // Parallel to the ISA list: paper-grid-tuned best, IR-tuned best, IR
+  // winner.
+  std::vector<double> grid_sec, ir_sec;
   std::vector<std::string> ir_best;
   double best_isa_speedup = 0.0;
 };
@@ -53,7 +47,7 @@ struct RowResult {
 
 int main() {
   fg::bench::print_banner("schedule_ir",
-                          "flat-knob grid tuner vs Schedule-IR grid tuner");
+                          "paper-grid tuner vs Schedule-IR grid tuner");
   const double scale = fg::bench::dataset_scale();
   const std::int64_t d = 64;
   const auto coo = fg::graph::gen_rmat(
@@ -69,7 +63,7 @@ int main() {
   const auto isas = fg::simd::supported_isas();
   const int reps = std::max(2, fg::support::bench_reps() - 1);
 
-  // One kernel row: tune the flat grid and the IR grid under each ISA pin
+  // One kernel row: tune the paper grid and the IR grid under each ISA pin
   // with the same measurement protocol (tune_* already does best-of-reps
   // per candidate), then compare the winners.
   const auto run_row = [&](const char* name,
@@ -79,18 +73,18 @@ int main() {
     row.name = name;
     for (const Isa isa : isas) {
       fg::simd::ScopedIsa pin(isa);
-      const auto flat =
+      const auto grid =
           tune(fg::core::default_spmm_candidates(d, /*num_threads=*/1));
       const auto ir = tune(fg::core::default_spmm_ir_candidates(
           d, csr.num_rows, /*num_threads=*/1));
-      row.flat_sec.push_back(flat.best_seconds);
+      row.grid_sec.push_back(grid.best_seconds);
       row.ir_sec.push_back(ir.best_seconds);
       row.ir_best.push_back(describe(ir.best));
-      const double sp = flat.best_seconds / ir.best_seconds;
+      const double sp = grid.best_seconds / ir.best_seconds;
       row.best_isa_speedup = std::max(row.best_isa_speedup, sp);
-      std::printf("%-24s %-7s flat %.6f s (%s)\n", name,
-                  fg::simd::isa_name(isa), flat.best_seconds,
-                  describe(flat.best).c_str());
+      std::printf("%-24s %-7s grid %.6f s (%s)\n", name,
+                  fg::simd::isa_name(isa), grid.best_seconds,
+                  describe(grid.best).c_str());
       std::printf("%-24s %-7s ir   %.6f s (%s)  -> %.2fx\n", name,
                   fg::simd::isa_name(isa), ir.best_seconds,
                   describe(ir.best).c_str(), sp);
@@ -130,11 +124,11 @@ int main() {
     body += "    \"" + row.name + "\": {\n";
     for (std::size_t i = 0; i < isas.size(); ++i) {
       std::snprintf(buf, sizeof buf,
-                    "      \"%s\": {\"flat_tuned_sec\": %.6f, "
+                    "      \"%s\": {\"paper_grid_tuned_sec\": %.6f, "
                     "\"ir_tuned_sec\": %.6f, \"speedup\": %.2f, "
                     "\"ir_best\": \"%s\"},\n",
-                    fg::simd::isa_name(isas[i]), row.flat_sec[i],
-                    row.ir_sec[i], row.flat_sec[i] / row.ir_sec[i],
+                    fg::simd::isa_name(isas[i]), row.grid_sec[i],
+                    row.ir_sec[i], row.grid_sec[i] / row.ir_sec[i],
                     row.ir_best[i].c_str());
       body += buf;
     }

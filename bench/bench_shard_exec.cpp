@@ -95,10 +95,10 @@ int main() {
     ThreadRow row;
     row.threads = t;
 
-    CpuSpmmSchedule flat;
-    flat.num_threads = t;
+    CpuSpmmSchedule unsharded;
+    unsharded.num_threads = t;
     row.unsharded_sec = fb::measure_seconds(
-        [&] { (void)fg::core::spmm(csr, "copy_u", "sum", flat, ops); });
+        [&] { (void)fg::core::spmm(csr, "copy_u", "sum", unsharded, ops); });
 
     CpuSpmmSchedule sharded;
     sharded.num_threads = t;

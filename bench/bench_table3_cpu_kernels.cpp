@@ -22,16 +22,18 @@ namespace {
 
 fg::core::CpuSpmmSchedule tuned_schedule(const fg::graph::Csr& adj,
                                          const char* msg_op, const char* red,
-                                         const fg::core::SpmmOperands& ops) {
+                                         const fg::core::SpmmOperands& ops,
+                                         std::int64_t d_out) {
   // A small grid (the full tuner would re-measure every candidate; the
   // interesting axes at one thread are partitions x tiles).
   std::vector<fg::core::CpuSpmmSchedule> grid;
   for (int parts : {1, 4, 16}) {
     for (std::int64_t tile : {std::int64_t{0}, std::int64_t{64}}) {
-      fg::core::CpuSpmmSchedule s;
-      s.num_partitions = parts;
-      s.feat_tile = tile;
-      grid.push_back(s);
+      if (tile > d_out) continue;
+      fg::core::ScheduleIr ir;
+      if (parts > 1) ir.partition(parts);
+      if (tile > 0) ir.tile(tile);
+      grid.push_back(fg::core::spmm_schedule(ir));
     }
   }
   return fg::core::tune_spmm(adj, msg_op, red, ops, grid).best;
@@ -50,7 +52,7 @@ void gcn_aggregation(const std::vector<fg::graph::Dataset>& datasets) {
         (void)fg::baselines::vendor::csr_spmm(d.graph.in_csr(), x, 1);
       });
       const fg::core::SpmmOperands ops{&x, nullptr, nullptr};
-      const auto sched = tuned_schedule(d.graph.in_csr(), "copy_u", "sum", ops);
+      const auto sched = tuned_schedule(d.graph.in_csr(), "copy_u", "sum", ops, len);
       const double featgraph = fb::measure_seconds([&] {
         (void)fg::core::spmm(d.graph.in_csr(), "copy_u", "sum", sched, ops);
       });
@@ -74,7 +76,7 @@ void mlp_aggregation(const std::vector<fg::graph::Dataset>& datasets) {
       const double ligra = fb::measure_seconds(
           [&] { (void)fg::baselines::ligra::mlp_aggregate(d.graph, x, w, 1); });
       const fg::core::SpmmOperands ops{&x, nullptr, &w};
-      const auto sched = tuned_schedule(d.graph.in_csr(), "mlp", "max", ops);
+      const auto sched = tuned_schedule(d.graph.in_csr(), "mlp", "max", ops, len);
       const double featgraph = fb::measure_seconds([&] {
         (void)fg::core::spmm(d.graph.in_csr(), "mlp", "max", sched, ops);
       });
@@ -96,7 +98,9 @@ void dot_attention(const std::vector<fg::graph::Dataset>& datasets) {
           [&] { (void)fg::baselines::ligra::dot_attention(d.graph, x, 1); });
       fg::core::CpuSddmmSchedule sched;
       sched.hilbert_order = true;
-      sched.reduce_tile = len > 128 ? 128 : 0;
+      if (len > 128)
+        sched.ir = std::make_shared<const fg::core::ScheduleIr>(
+            fg::core::ScheduleIr().tile(128));
       const double featgraph = fb::measure_seconds([&] {
         (void)fg::core::sddmm(d.graph.coo(), "dot", sched, {&x, nullptr});
       });

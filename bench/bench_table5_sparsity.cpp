@@ -42,9 +42,9 @@ int main() {
     // set keeps the harness fast at 60M edges.
     std::vector<fg::core::CpuSpmmSchedule> grid;
     for (int parts : {1, 8, 16}) {
-      fg::core::CpuSpmmSchedule s;
-      s.num_partitions = parts;
-      grid.push_back(s);
+      fg::core::ScheduleIr ir;
+      if (parts > 1) ir.partition(parts);
+      grid.push_back(fg::core::spmm_schedule(ir));
     }
     const auto sched =
         fg::core::tune_spmm(d.graph.in_csr(), "copy_u", "sum", ops, grid).best;

@@ -29,10 +29,8 @@ int main() {
   // --- 1. MLP aggregation: ReLU((x_u + x_v) W), max-reduced ----------------
   // FDS: tile the d2 axis (like Fig. 8's split of out.axis[0]); the template
   // contributes graph partitioning.
-  CpuSpmmSchedule fds;
-  fds.feat_tile = 32;
-  fds.num_partitions = 8;
-  fds.num_threads = 2;
+  const CpuSpmmSchedule fds = fg::core::spmm_schedule(
+      fg::core::ScheduleIr().partition(8).tile(32), /*num_threads=*/2);
   fg::support::Timer t1;
   const Tensor mlp = fg::core::spmm(g.in_csr(), "mlp", "max", fds,
                                     {&x, nullptr, &w});
@@ -52,8 +50,11 @@ int main() {
       out[j] = gate * std::fabs(x.at(u, j) - x.at(v, j));
   };
   fg::support::Timer t2;
-  const Tensor gated_out = fg::core::spmm_generic(g.in_csr(), gated, "mean",
-                                                  d1, fds);
+  // d1 = 8 features: narrower than the MLP's 32-wide tile, so this launch
+  // keeps only the partitioning.
+  const Tensor gated_out = fg::core::spmm_generic(
+      g.in_csr(), gated, "mean", d1,
+      fg::core::spmm_schedule(fg::core::ScheduleIr().partition(8), 2));
   std::printf("custom gated-distance UDF with mean reducer: %.1f ms, "
               "out[0][0..2] = %.3f %.3f %.3f\n",
               t2.millis(), gated_out.at(0, 0), gated_out.at(0, 1),

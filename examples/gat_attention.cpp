@@ -39,7 +39,8 @@ int main() {
   fg::core::CpuSddmmSchedule sddmm_fds;
   sddmm_fds.num_threads = 2;
   sddmm_fds.hilbert_order = true;   // locality over both endpoints
-  sddmm_fds.reduce_tile = 32;       // FDS: tile the reduction axis
+  sddmm_fds.ir = std::make_shared<const fg::core::ScheduleIr>(
+      fg::core::ScheduleIr().tile(32));  // FDS: tile the reduction axis
   const Tensor logits = fg::core::sddmm(g.coo(), "dot", sddmm_fds, {&z, nullptr});
 
   // 3. Per-destination softmax over in-edges (fused threaded segment pass).
@@ -47,10 +48,8 @@ int main() {
 
   // 4. Attention-weighted aggregation via generalized SpMM (u_mul_e + sum) —
   //    the |E| x d weighted messages are never materialized.
-  fg::core::CpuSpmmSchedule spmm_fds;
-  spmm_fds.num_threads = 2;
-  spmm_fds.num_partitions = 8;
-  spmm_fds.feat_tile = 32;
+  const fg::core::CpuSpmmSchedule spmm_fds = fg::core::spmm_schedule(
+      fg::core::ScheduleIr().partition(8).tile(32), /*num_threads=*/2);
   const Tensor h = fg::core::spmm(g.in_csr(), "u_mul_e", "sum", spmm_fds,
                                   {&z, &alpha, nullptr});
   const double composed_ms = composed_timer.millis();
@@ -80,8 +79,12 @@ int main() {
 
   // Multi-head variant of step 2 (Fig. 4b): 4 heads over the same features.
   const Tensor z4 = z.reshape({g.num_vertices(), 4, d_out / 4});
-  const Tensor mh = fg::core::sddmm(g.coo(), "multihead_dot", sddmm_fds,
-                                    {&z4, nullptr});
+  // Each head reduces d_out / 4 = 16 features, narrower than the 32-wide
+  // reduce tile above, so the per-head dots run untiled.
+  fg::core::CpuSddmmSchedule mh_fds = sddmm_fds;
+  mh_fds.ir = nullptr;
+  const Tensor mh =
+      fg::core::sddmm(g.coo(), "multihead_dot", mh_fds, {&z4, nullptr});
   std::printf("multi-head logits: %lld edges x %lld heads, mh[0] = %.4f\n",
               static_cast<long long>(mh.rows()),
               static_cast<long long>(mh.row_size()), mh.at(0, 0));

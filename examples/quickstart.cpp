@@ -20,12 +20,11 @@ int main() {
   const Tensor x = Tensor::randn({g.num_vertices(), 128}, /*seed=*/2);
 
   // 3. GCN aggregation = SpMM template + copy_u message + sum reducer.
-  //    The schedule is the two-level optimization handle: graph partitions
-  //    (template half) and feature tiling (FDS half).
-  CpuSpmmSchedule fds;
-  fds.num_partitions = 4;
-  fds.feat_tile = 64;
-  fds.num_threads = 2;
+  //    The schedule is the two-level optimization handle, one Schedule-IR
+  //    program: graph partitions (template half) and feature tiling (FDS
+  //    half), run on 2 threads.
+  const CpuSpmmSchedule fds = fg::core::spmm_schedule(
+      fg::core::ScheduleIr().partition(4).tile(64), /*num_threads=*/2);
   const Tensor h = fg::core::spmm(g.in_csr(), "copy_u", "sum", fds,
                                   {&x, nullptr, nullptr});
   std::printf("aggregated features: %lld x %lld, h[0][0..3] = %.3f %.3f %.3f %.3f\n",
@@ -38,8 +37,9 @@ int main() {
   const auto tuned = fg::core::tuned_spmm_schedule(g.in_csr(), "copy_u", "sum",
                                                    {&x, nullptr, nullptr},
                                                    /*num_threads=*/2);
-  std::printf("tuned schedule: %d graph partitions, feature tile %lld\n",
-              tuned.num_partitions, static_cast<long long>(tuned.feat_tile));
+  std::printf("tuned schedule: %s\n",
+              tuned.ir != nullptr ? tuned.ir->describe().c_str()
+                                  : "<default>");
 
   // 5. Edge-wise computation: dot-product attention (Fig. 4a) via SDDMM.
   fg::core::CpuSddmmSchedule sfds;

@@ -81,8 +81,7 @@ int main() {
   fg::support::Timer t4;
   for (int it = 0; it < 20; ++it) {
     auto agg = fg::core::spmm(g.in_csr(), "u_mul_e", "sum",
-                              {.num_partitions = 1, .feat_tile = 0,
-                               .num_threads = 2},
+                              {.num_threads = 2, .ir = nullptr},
                               {&r, &inv_deg, nullptr});
     for (std::size_t v = 0; v < n; ++v)
       r.at(static_cast<std::int64_t>(v)) =

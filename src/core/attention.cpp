@@ -290,8 +290,8 @@ void launch(const graph::Csr& adj, const LogitFn& logit, const WMsg& wmsg,
         .arg("program",
              static_cast<std::int64_t>(schedule_program_hash(sched)));
   }
-  // Flat knobs or the attached Schedule-IR program lower once per launch
-  // (the same hoisting as generalized_spmm).
+  // The schedule's Schedule-IR program lowers once per launch (the same
+  // hoisting as generalized_spmm).
   const LoweredSpmmPlan plan =
       lower_spmm_schedule(sched, n, d_out, simd::active_isa());
   // Dispatch hoisted once per launch, as in the SpMM/SDDMM templates.

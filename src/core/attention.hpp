@@ -18,16 +18,16 @@
 // output row with the weighted-accumulate span primitives (simd::axpy /
 // waxpy_binop) — no |E| x d message tensor, no separate softmax launch.
 //
-// Schedule: `CpuSpmmSchedule` is honored the same way the SpMM template
-// honors it. load_balance picks the per-thread row split (rows are owned by
-// threads, so alpha writes are race-free), feat_tile tiles the aggregation
-// axis (per row, innermost — the softmax state is per-row, so attention
-// inverts the SpMM's tile-outermost loop order), and num_partitions > 1
-// switches to a two-phase launch: alpha is computed for all rows first
-// (one threaded row sweep), then the aggregation runs as a regular
-// partitioned generalized SpMM over weighted-message functors reading
-// alpha by edge id — the partition loop's cache story (Sec. IV-A) applies
-// to the d-wide aggregation where the traffic is. alpha values are
+// Schedule: `CpuSpmmSchedule`'s Schedule-IR program is lowered into the same
+// plan the SpMM template runs. split_nnz picks the per-thread row split
+// (rows are owned by threads, so alpha writes are race-free), tile(W) tiles
+// the aggregation axis (per row, innermost — the softmax state is per-row),
+// and partition(P) with P > 1 switches to a two-phase launch: alpha is
+// computed for all rows first (one threaded row sweep), then the
+// aggregation runs as a regular partitioned generalized SpMM over
+// weighted-message functors reading alpha by edge id — the partition loop's
+// cache story (Sec. IV-A) applies to the d-wide aggregation where the
+// traffic is. alpha values are
 // identical between the two launches (the per-row softmax order never
 // changes); only the aggregation's edge-visit order reassociates, exactly
 // as partitioned SpMM already does.

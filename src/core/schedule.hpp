@@ -4,9 +4,11 @@
 // the sparse template (number of graph partitions, CUDA block counts,
 // hybrid-partitioning threshold) and (b) the user-provided feature dimension
 // schedule, FDS (feature tiling factors, parallelization/binding of the
-// feature axis, tree reduction). This header holds both halves; the tuner
-// (core/tuner.hpp) searches their product space by grid search, exactly as
-// Sec. IV-A describes.
+// feature axis, tree reduction). On the CPU both halves are one Schedule-IR
+// program (core/schedule_ir.hpp) attached to the schedule; the simulated-GPU
+// schedules keep plain fields. The tuners (core/tuner.hpp,
+// core/smart_tuner.hpp) search the product space, grid search as Sec. IV-A
+// describes.
 #pragma once
 
 #include <cstdint>
@@ -34,33 +36,23 @@ enum class LoadBalance : int {
 /// The load-balance values worth searching at a given thread count — the
 /// single source of truth both tuners draw their axis from. At one thread
 /// the two policies run the identical sweep, so only the default is listed;
-/// element 0 always matches CpuSpmmSchedule's default (the smart tuner's
-/// first seed point relies on that).
+/// element 0 always matches the empty program's row split (the smart
+/// tuner's first seed point relies on that).
 inline std::vector<LoadBalance> load_balance_axis(int num_threads) {
   if (num_threads <= 1) return {LoadBalance::kNnzBalanced};
   return {LoadBalance::kNnzBalanced, LoadBalance::kStaticRows};
 }
 
-/// CPU generalized-SpMM schedule.
+/// CPU generalized-SpMM schedule. Every loop-nest decision — partitions,
+/// feature tiling, row chunking, register blocking, row split, sharding —
+/// is a Schedule-IR program (core/schedule_ir.hpp); only the thread count
+/// lives beside it.
 struct CpuSpmmSchedule {
-  /// Template half: number of 1D source partitions (1 = no partitioning).
-  int num_partitions = 1;
-  /// FDS half: feature tile width in elements (0 = whole feature vector).
-  std::int64_t feat_tile = 0;
   /// Worker threads; threads cooperate on one partition at a time
   /// (Sec. IV-A) so the LLC holds a single partition's working set.
   int num_threads = 1;
-  /// Template half: row-split policy inside a partition. Results are
-  /// identical under either policy (per-row work is untouched); the tuner
-  /// searches both because the winner depends on degree skew.
-  LoadBalance load_balance = LoadBalance::kNnzBalanced;
-
-  /// Optional composable loop-nest program (core/schedule_ir.hpp). When set
-  /// and non-empty it is AUTHORITATIVE for every loop-nest decision —
-  /// partitions, tiling, chunking, register blocking, row split — except
-  /// num_threads, which stays a flat knob. When null the flat knobs above
-  /// are the schedule (they lower to the equivalent default program), so
-  /// every pre-IR consumer keeps its exact behavior.
+  /// The loop-nest program. Null or empty = the default nest: one
+  /// partition, whole feature vector, nnz-balanced row split.
   std::shared_ptr<const ScheduleIr> ir;
 
   static CpuSpmmSchedule single_thread_default() { return {}; }
@@ -68,13 +60,12 @@ struct CpuSpmmSchedule {
 
 /// CPU generalized-SDDMM schedule.
 struct CpuSddmmSchedule {
-  /// FDS half: tile width of the per-edge reduction axis (0 = untiled).
-  std::int64_t reduce_tile = 0;
-  /// Template half: visit edges in Hilbert-curve order (Sec. III-C-1).
+  /// Template half: visit edges in Hilbert-curve order (Sec. III-C-1). An
+  /// edge permutation, not a loop-nest transform, so it has no IR spelling.
   bool hilbert_order = false;
   int num_threads = 1;
-  /// Optional loop-nest program; SDDMM accepts tile (reduce axis) and chunk
-  /// (edge positions) transforms. Null = flat knobs.
+  /// Loop-nest program: tile (reduce-axis tiling) and chunk (edge
+  /// positions) transforms. Null or empty = untiled, unchunked.
   std::shared_ptr<const ScheduleIr> ir;
 };
 

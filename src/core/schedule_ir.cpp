@@ -1,6 +1,7 @@
 #include "core/schedule_ir.hpp"
 
 #include <cstdio>
+#include <memory>
 
 #include "support/check.hpp"
 
@@ -95,6 +96,13 @@ std::string ScheduleIr::describe() const {
     s += buf;
   }
   return s;
+}
+
+ScheduleIr ScheduleIr::without(IrTransformKind kind) const {
+  ScheduleIr ir;
+  for (const IrTransform& t : transforms_)
+    if (t.kind != kind) ir.transforms_.push_back(t);
+  return ir;
 }
 
 int isa_vector_width(simd::Isa isa) {
@@ -226,9 +234,9 @@ std::string validate_sddmm_ir(const ScheduleIr& ir, std::int64_t num_edges,
                         static_cast<long long>(num_edges));
         break;
       case IrTransformKind::kTileFeat:
-        // Reduce-axis tiling: the partials reassociate exactly like the
-        // flat reduce_tile knob, so any width in range is legal (the dot
-        // primitive is tolerance-class, not bit-compared).
+        // Reduce-axis tiling: the partials reassociate, so any width in
+        // range is legal (the dot primitive is tolerance-class, not
+        // bit-compared).
         if (t.factor < 1)
           return format("tile width must be >= 1, got %lld",
                         static_cast<long long>(t.factor));
@@ -251,12 +259,7 @@ LoweredSpmmPlan lower_spmm_schedule(const CpuSpmmSchedule& sched,
                                     simd::Isa isa) {
   LoweredSpmmPlan plan;
   plan.num_threads = sched.num_threads;
-  if (sched.ir == nullptr || sched.ir->empty()) {
-    plan.feat_tile = sched.feat_tile;
-    plan.load_balance = sched.load_balance;
-    plan.num_partitions = sched.num_partitions;
-    return plan;
-  }
+  if (sched.ir == nullptr) return plan;
   const std::string err = validate_spmm_ir(*sched.ir, num_rows, d_out, isa);
   FG_CHECK_MSG(err.empty(), err.c_str());
   for (const IrTransform& t : sched.ir->transforms()) {
@@ -296,10 +299,7 @@ LoweredSddmmPlan lower_sddmm_schedule(const CpuSddmmSchedule& sched,
                                       std::int64_t reduce_len,
                                       simd::Isa isa) {
   LoweredSddmmPlan plan;
-  if (sched.ir == nullptr || sched.ir->empty()) {
-    plan.reduce_tile = sched.reduce_tile;
-    return plan;
-  }
+  if (sched.ir == nullptr) return plan;
   const std::string err =
       validate_sddmm_ir(*sched.ir, num_edges, reduce_len, isa);
   FG_CHECK_MSG(err.empty(), err.c_str());
@@ -319,29 +319,22 @@ LoweredSddmmPlan lower_sddmm_schedule(const CpuSddmmSchedule& sched,
 }
 
 int schedule_num_partitions(const CpuSpmmSchedule& sched) {
-  if (sched.ir != nullptr && !sched.ir->empty()) {
-    for (const IrTransform& t : sched.ir->transforms()) {
-      if (t.kind == IrTransformKind::kPartition)
-        return static_cast<int>(t.factor);
-    }
-    return 1;
+  if (sched.ir == nullptr) return 1;
+  for (const IrTransform& t : sched.ir->transforms()) {
+    if (t.kind == IrTransformKind::kPartition)
+      return static_cast<int>(t.factor);
   }
-  return sched.num_partitions;
+  return 1;
 }
 
-ScheduleIr default_spmm_program(const CpuSpmmSchedule& sched) {
-  ScheduleIr ir;
-  if (sched.num_partitions > 1) ir.partition(sched.num_partitions);
-  if (sched.feat_tile > 0) ir.tile(sched.feat_tile);
-  if (sched.load_balance != LoadBalance::kNnzBalanced)
-    ir.split_nnz(sched.load_balance);
-  return ir;
+CpuSpmmSchedule spmm_schedule(const ScheduleIr& ir, int num_threads) {
+  CpuSpmmSchedule s;
+  s.num_threads = num_threads;
+  if (!ir.empty()) s.ir = std::make_shared<const ScheduleIr>(ir);
+  return s;
 }
 
 std::uint64_t schedule_program_hash(const CpuSpmmSchedule& sched) {
-  const ScheduleIr view =
-      sched.ir != nullptr && !sched.ir->empty() ? *sched.ir
-                                                : default_spmm_program(sched);
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
   const auto mix = [&h](std::uint64_t v) {
     for (int byte = 0; byte < 8; ++byte) {
@@ -349,7 +342,8 @@ std::uint64_t schedule_program_hash(const CpuSpmmSchedule& sched) {
       h *= 1099511628211ull;  // FNV prime
     }
   };
-  for (const IrTransform& t : view.transforms()) {
+  if (sched.ir == nullptr) return h;
+  for (const IrTransform& t : sched.ir->transforms()) {
     mix(static_cast<std::uint64_t>(t.kind) + 1);
     mix(static_cast<std::uint64_t>(t.factor));
     mix(static_cast<std::uint64_t>(t.balance));

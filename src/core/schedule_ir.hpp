@@ -1,7 +1,8 @@
 // Composable loop-nest Schedule-IR — the paper's two-level (template x FDS)
-// schedule space at full strength, replacing the handful of flat knobs on
-// CpuSpmmSchedule/CpuSddmmSchedule with an ordered list of transforms over
-// the (dst-row, nnz-pos, feature) loop nest, in the spirit of TACO's
+// schedule space, and the ONLY spelling of a CPU schedule's loop nest
+// (CpuSpmmSchedule / CpuSddmmSchedule carry just a thread count and, for
+// SDDMM, the Hilbert edge order beside it): an ordered list of transforms
+// over the (dst-row, nnz-pos, feature) loop nest, in the spirit of TACO's
 // scheduleSpMMCPU (split / pos / reorder / parallelize with CHUNK_SIZE and
 // UNROLL_FACTOR — the SNIPPETS.md exemplar).
 //
@@ -20,17 +21,14 @@
 //                              (AVX2: 8; AVX-512: 16, or 8 below the
 //                              narrow-span reroute threshold), so the AVX2
 //                              and AVX-512 tuner legs pick different
-//                              winners. tile(W) alone is plain feature
-//                              tiling — the identical code path the flat
-//                              feat_tile knob runs.
+//                              winners. No tile = the whole feature vector.
 //   unroll(U)                — register-block the tiled feature loop: the
 //                              output tile stays in vector registers across
 //                              a row's whole edge group (one load + one
 //                              store per tile instead of per edge), with U
 //                              vectors kept live. Requires tile().
-//   split_nnz(balance)       — nnz-position splitting of the row sweep
-//                              across threads (subsumes the flat
-//                              load_balance knob).
+//   split_nnz(balance)       — the row-split policy across threads
+//                              (default without it: nnz-balanced).
 //   partition(P)             — 1D source partitioning (the template half).
 //   override_partition(i, W) — per-partition feature-tile override: segment
 //                              i of a partitioned launch runs tile width W
@@ -51,19 +49,17 @@
 // programs and tests can assert on the message; lowering FG_CHECKs the same
 // validation (API misuse aborts, as everywhere else in the repo).
 //
-// Bit-identity contract: every legal SpMM program produces output
-// bit-for-bit identical to its flat-knob spelling on every backend, and
-// every program WITHOUT a partition transform is additionally bit-identical
-// to the default schedule. chunk/tile/unroll/split_nnz never change the
-// per-(row, element) edge accumulation order, and the register-blocked
-// unroll path folds the SAME sequential per-element combine chain in the
-// SAME edge order — unroll groups vectors across the feature axis, never
-// across edges, and no FMA contraction is introduced (simd.hpp's
-// accum_rows/waxpy_rows contract). partition(P) regroups each destination
-// row's in-edges by source bucket — the same intentional fold reorder the
-// flat num_partitions knob has always performed (Sec. IV-A) — so a
-// partitioned program matches flat {num_partitions = P, ...} bit-for-bit,
-// not the unpartitioned default.
+// Bit-identity contract: every legal SpMM program WITHOUT a partition
+// transform is bit-identical to the empty program on every backend, and
+// every program with partition(P) is bit-identical to partition(P) alone.
+// chunk/tile/unroll/split_nnz/shard never change the per-(row, element)
+// edge accumulation order, and the register-blocked unroll path folds the
+// SAME sequential per-element combine chain in the SAME edge order — unroll
+// groups vectors across the feature axis, never across edges, and no FMA
+// contraction is introduced (simd.hpp's accum_rows/waxpy_rows contract).
+// partition(P) regroups each destination row's in-edges by source bucket —
+// an intentional fold reorder (Sec. IV-A) — so a partitioned program
+// matches partition(P), not the unpartitioned default.
 #pragma once
 
 #include <algorithm>
@@ -149,6 +145,9 @@ class ScheduleIr {
   const std::vector<IrTransform>& transforms() const { return transforms_; }
   bool empty() const { return transforms_.empty(); }
 
+  /// A copy of this program with every `kind` transform removed.
+  ScheduleIr without(IrTransformKind kind) const;
+
   /// Compact human-readable program text, e.g.
   /// "chunk(256).tile(32).unroll(4).split_nnz(nnz)".
   std::string describe() const;
@@ -201,12 +200,6 @@ struct LoweredSpmmPlan {
         std::min<std::int64_t>(num_shards, std::max<std::int64_t>(rows, 1)));
   }
 
-  /// True when the plan needs the interpreting loop nest; false means the
-  /// flat fast path (the exact pre-IR code) already implements it.
-  bool needs_interpreter() const {
-    return row_chunk > 0 || register_block || !overrides.empty();
-  }
-
   /// Effective tile width for partition `part` (-1 = unpartitioned),
   /// clamped to [1, d_out].
   std::int64_t tile_for(std::int64_t d_out, int part) const {
@@ -236,11 +229,10 @@ struct LoweredSddmmPlan {
   std::int64_t edge_chunk = 0;   // 0 = no chunking
 };
 
-/// Lowers `sched` for a concrete launch. With no IR attached the flat knobs
-/// pass through verbatim (needs_interpreter() == false — byte-for-byte the
-/// pre-IR launch). With an IR program attached the program is authoritative
-/// for every loop-nest decision except num_threads; illegal programs abort
-/// via FG_CHECK with the validate_spmm_ir message.
+/// Lowers `sched` for a concrete launch: the attached program decides every
+/// loop-nest field, the schedule's num_threads the thread count. No program
+/// lowers to the default plan; illegal programs abort via FG_CHECK with the
+/// validate_spmm_ir message.
 LoweredSpmmPlan lower_spmm_schedule(const CpuSpmmSchedule& sched,
                                     std::int64_t num_rows, std::int64_t d_out,
                                     simd::Isa isa);
@@ -250,21 +242,18 @@ LoweredSddmmPlan lower_sddmm_schedule(const CpuSddmmSchedule& sched,
                                       std::int64_t num_edges,
                                       std::int64_t reduce_len, simd::Isa isa);
 
-/// The partition count a schedule asks for: the IR program's partition(P)
-/// factor when a program is attached, else the flat num_partitions knob.
-/// Callers that build the partitioning (spmm.cpp, attention.cpp) route
-/// through this so IR programs drive cached_partition too.
+/// The partition count a schedule's program asks for: its partition(P)
+/// factor, else 1. Callers that build the partitioning (spmm.cpp) route
+/// through this so the program drives cached_partition.
 int schedule_num_partitions(const CpuSpmmSchedule& sched);
 
-/// The flat knobs expressed as an IR program (the "thin view" direction):
-/// partition/tile/split_nnz transforms mirroring the struct fields, with
-/// defaults omitted — an all-default schedule maps to the EMPTY program, so
-/// flat and IR spellings of the same schedule hash identically.
-ScheduleIr default_spmm_program(const CpuSpmmSchedule& sched);
+/// A CPU SpMM schedule running `ir` on `num_threads` threads (an empty
+/// program attaches nothing — the two spell the same default nest).
+CpuSpmmSchedule spmm_schedule(const ScheduleIr& ir, int num_threads = 1);
 
-/// FNV-1a hash of the schedule's program (the attached IR, or the flat
-/// knobs' default program). num_threads is excluded — cache keys that use
-/// this hash (sample::BlockScheduleCache) already key on the thread count.
+/// FNV-1a hash of the schedule's program (null and empty hash alike).
+/// num_threads is excluded — cache keys that use this hash
+/// (sample::BlockScheduleCache) already key on the thread count.
 std::uint64_t schedule_program_hash(const CpuSpmmSchedule& sched);
 
 /// Program hash extended with a fused-epilogue signature (EpilogueOps::

@@ -105,8 +105,12 @@ struct GenericEdgeAdapter {
 
 Tensor sddmm_generic(const graph::Coo& coo, const GenericEdgeFn& fn,
                      std::int64_t d_out, const CpuSddmmSchedule& fds) {
+  // Blackbox UDFs have no visible reduce axis: drop the program's reduce
+  // tile, keep its edge chunking.
   CpuSddmmSchedule sched = fds;
-  sched.reduce_tile = 0;  // blackbox UDFs have no visible reduce axis
+  if (sched.ir != nullptr)
+    sched.ir = std::make_shared<const ScheduleIr>(
+        sched.ir->without(IrTransformKind::kTileFeat));
   return run_sddmm(coo, GenericEdgeAdapter{&fn, d_out}, sched);
 }
 

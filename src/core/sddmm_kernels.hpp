@@ -53,7 +53,7 @@ void generalized_sddmm(const graph::Coo& coo,
         .arg("hilbert", order != nullptr ? 1 : 0);
   }
 
-  // Flat knobs (or the attached Schedule-IR program) lower once per launch.
+  // The schedule's Schedule-IR program lowers once per launch.
   const LoweredSddmmPlan plan =
       lower_sddmm_schedule(sched, m, len, simd::active_isa());
   const std::int64_t tile =

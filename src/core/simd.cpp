@@ -231,7 +231,7 @@ FG_SCALAR_FN void gather_rows(float* out, const float* src,
 // j-outer / i-inner nest keeps out[j]'s running value in a register across
 // the whole row group; per (j) the combine chain visits i in order, which is
 // exactly the fold a per-row accum() sequence produces — bit-identical to
-// the flat path and to every unroll hint.
+// the unblocked per-edge path and to every unroll hint.
 #define FG_SCALAR_ACCUM_ROWS(NAME, COMBINE)                                  \
   FG_SCALAR_FN void NAME(float* out, const float* src, std::int64_t stride,  \
                          const std::int32_t* idx, std::int64_t cnt,          \

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <memory>
 #include <utility>
 
 #include "core/schedule_ir.hpp"
@@ -20,9 +19,16 @@ namespace {
 /// Canonical key for memoizing measured lattice points.
 using Point = std::vector<int>;
 
+/// Tile widths min_tile, 2 min_tile, ... below d_out that are legal on the
+/// active backend, after 0 = untiled (full width).
 std::vector<std::int64_t> tile_axis(std::int64_t d_out, std::int64_t min_tile) {
-  std::vector<std::int64_t> axis = {0};  // 0 = untiled (full width)
-  for (std::int64_t t = min_tile; t < d_out; t *= 2) axis.push_back(t);
+  std::vector<std::int64_t> axis = {0};
+  for (std::int64_t t = std::max<std::int64_t>(min_tile, 1); t < d_out;
+       t *= 2) {
+    if (validate_spmm_ir(ScheduleIr().tile(t), 1, d_out, simd::active_isa())
+            .empty())
+      axis.push_back(t);
+  }
   return axis;
 }
 
@@ -115,16 +121,19 @@ SmartTuneResult smart_tune_spmm(std::int64_t d_out, int num_threads,
   SmartTuneResult result;
   result.best_seconds = std::numeric_limits<double>::infinity();
 
-  // Seed point: the untuned default (1 partition, untiled, nnz-balanced).
+  // Seed point: the empty program (1 partition, untiled, nnz-balanced).
   result.trials_used = lattice_climb(
       {static_cast<int>(parts.size()), static_cast<int>(tiles.size()),
        static_cast<int>(balances.size())},
       {0, 0, 0}, options, [&](const std::vector<int>& p) {
-        CpuSpmmSchedule s;
-        s.num_partitions = parts[static_cast<std::size_t>(p[0])];
-        s.feat_tile = tiles[static_cast<std::size_t>(p[1])];
-        s.num_threads = num_threads;
-        s.load_balance = balances[static_cast<std::size_t>(p[2])];
+        const int n_parts = parts[static_cast<std::size_t>(p[0])];
+        const std::int64_t tile = tiles[static_cast<std::size_t>(p[1])];
+        const LoadBalance lb = balances[static_cast<std::size_t>(p[2])];
+        ScheduleIr ir;
+        if (n_parts > 1) ir.partition(n_parts);
+        if (tile > 0) ir.tile(tile);
+        if (lb != LoadBalance::kNnzBalanced) ir.split_nnz(lb);
+        const CpuSpmmSchedule s = spmm_schedule(ir, num_threads);
         const double secs = measure(s);
         if (secs < result.best_seconds) {
           result.best_seconds = secs;
@@ -173,8 +182,8 @@ SmartTuneResult smart_tune_spmm_ir(std::int64_t d_out, std::int64_t num_rows,
   SmartTuneResult result;
   result.best_seconds = std::numeric_limits<double>::infinity();
 
-  // Seed point: all zeros = the EMPTY program, which lowers to the untuned
-  // default schedule bit-for-bit — the first measurement is the baseline.
+  // Seed point: all zeros = the EMPTY program, the untuned default nest —
+  // the first measurement is the baseline.
   result.trials_used = lattice_climb(
       {static_cast<int>(parts.size()), static_cast<int>(tile_unroll.size()),
        static_cast<int>(chunks.size()), static_cast<int>(balances.size()),
@@ -194,9 +203,7 @@ SmartTuneResult smart_tune_spmm_ir(std::int64_t d_out, std::int64_t num_rows,
         if (chunk > 0) ir.chunk(chunk);
         if (lb != LoadBalance::kNnzBalanced) ir.split_nnz(lb);
         if (n_shards > 0) ir.shard(n_shards);
-        CpuSpmmSchedule s;
-        s.num_threads = num_threads;
-        if (!ir.empty()) s.ir = std::make_shared<const ScheduleIr>(ir);
+        const CpuSpmmSchedule s = spmm_schedule(ir, num_threads);
         const double secs = measure(s);
         if (secs < result.best_seconds) {
           result.best_seconds = secs;

@@ -3,8 +3,8 @@
 // [OpenTuner, AutoTVM] for faster design space exploration" (Sec. IV-A).
 //
 // This tuner replaces exhaustive grid search with random-restart hill
-// climbing over an N-axis schedule lattice — the flat
-// (num_partitions, feat_tile, load_balance) knobs, or the wider Schedule-IR
+// climbing over an N-axis lattice of Schedule-IR programs — the paper's
+// partition(P) x tile(W) x split_nnz axes (smart_tune_spmm), or the wider
 // space with register-blocked tiles and row chunking (smart_tune_spmm_ir):
 // evaluate a few seed points, then repeatedly step to the best untried
 // neighbor (x2 / /2 moves along the numeric axes, a flip on the row-split
@@ -40,12 +40,14 @@ struct SmartTuneResult {
 /// Measurement callback: returns the runtime of a candidate schedule. The
 /// tuner is kernel-agnostic through this hook: SpMM launches and fused
 /// attention launches (core/tuner.hpp's attention_measure_fn) tune over the
-/// identical (num_partitions, feat_tile, load_balance) lattice.
+/// identical partition x tile x split_nnz lattice.
 using MeasureFn = std::function<double(const CpuSpmmSchedule&)>;
 
-/// Hill-climbs the schedule space within `options.max_trials` measurements.
-/// `d_out` bounds the feature-tile axis; `num_threads` is fixed across
-/// candidates. Deterministic for a fixed options.seed.
+/// Hill-climbs the partition x tile x split_nnz program lattice within
+/// `options.max_trials` measurements. `d_out` bounds the feature-tile axis
+/// (widths illegal on the active backend are skipped); `num_threads` is
+/// fixed across candidates. The first seed is the empty program.
+/// Deterministic for a fixed options.seed.
 SmartTuneResult smart_tune_spmm(std::int64_t d_out, int num_threads,
                                 const MeasureFn& measure,
                                 const SmartTuneOptions& options = {});

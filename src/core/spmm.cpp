@@ -20,8 +20,7 @@ Tensor run_spmm(const graph::Csr& adj, const MsgFn& msg,
                 const CpuSpmmSchedule& fds,
                 const EpilogueOps* epilogue = nullptr) {
   Tensor out({adj.num_rows, d_out});
-  // IR programs carry their partition(P) transform; flat schedules their
-  // knob — schedule_num_partitions resolves whichever is authoritative.
+  // The program's partition(P) transform picks the cached partitioning.
   const auto* parts = cached_partition(adj, schedule_num_partitions(fds));
   if (reduce_op == "sum") {
     generalized_spmm<MsgFn, SumReducer>(adj, parts, msg, out.data(), d_out,

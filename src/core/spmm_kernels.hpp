@@ -2,11 +2,14 @@
 //
 // out[v, :] = REDUCE over in-edges (u -e-> v) of MSG(u, e, v)
 //
-// The coarse-grained template owns graph traversal: feature tiles outermost
-// (Fig. 6b), then 1D source partitions processed one at a time with all
-// threads cooperating inside the partition (Sec. IV-A), then destination
+// The coarse-grained template owns graph traversal, as the schedule's lowered
+// Schedule-IR plan dictates: 1D source partitions processed one at a time
+// with all threads cooperating inside the partition (Sec. IV-A), destination
 // rows split across threads (race-free: each thread owns its rows; the
-// schedule's load_balance knob picks row-count or nnz-balanced boundaries).
+// split_nnz transform picks row-count or nnz-balanced boundaries), then
+// feature tiles (Fig. 6b) over each thread's rows. There is ONE loop nest
+// (detail::spmm_interpret); the empty program is simply its untiled,
+// unpartitioned case.
 // The fine-grained UDF folds one edge's whole message span into the output
 // row per call (the bulk-span protocol of udf.hpp), so the innermost feature
 // loop is a dense contiguous sweep on the vector units — messages are never
@@ -126,81 +129,74 @@ void spmm_postprocess(const simd::SpanOps& ops, const std::int64_t* row_degree,
       });
 }
 
-/// The Schedule-IR interpreting loop nest: chunked rows > feature tiles >
-/// rows > edges, with optional register-blocked row groups. Only launched
-/// when the lowered plan asks for something the flat nest can't express
-/// (row chunking, register blocking, per-partition overrides); the flat
-/// fast path below stays byte-for-byte the pre-IR kernel. Bit-identity: per
-/// (row, element) the fill-then-fold order over edges is exactly the flat
-/// nest's — chunking and tile reordering move whole (row, tile) blocks, and
-/// the blocked apply_rows folds the same per-element chain in the same edge
-/// order (simd.hpp accum_rows contract).
+/// The SpMM loop nest, interpreting a lowered Schedule-IR plan: partitions
+/// (sequential, all threads cooperating inside one — Sec. IV-A) > thread row
+/// ranges > row chunks > feature tiles > rows > edges. Rows of a (chunk,
+/// tile) run the plain spmm_rows sweep, or the register-blocked apply_rows
+/// group when the plan unrolls and the UDF has the protocol. Bit-identity:
+/// per (row, element) the fill-then-fold order over edges never changes —
+/// chunking and tiling move whole (row, tile) blocks, and the blocked
+/// apply_rows folds the same per-element chain in the same edge order
+/// (simd.hpp accum_rows contract).
 template <class MsgFn, class Reducer>
 void spmm_interpret(const simd::SpanOps& ops, const graph::Csr& adj,
                     const graph::SrcPartitionedCsr* parts, const MsgFn& msg,
                     float* out, std::int64_t d_out,
                     const LoweredSpmmPlan& plan) {
   const std::int64_t n = adj.num_rows;
+  const std::int64_t row_chunk = plan.row_chunk;
+  const bool blocked = HasRowBlock<MsgFn>::value && plan.register_block;
+  const int unroll = plan.unroll;
   // One partition segment's sweep of rows [r0, r1), one thread.
   const auto segment = [&](const std::int64_t* indptr,
                            const graph::vid_t* indices,
                            const graph::eid_t* edge_ids, std::int64_t r0,
-                           std::int64_t r1, bool init, int part) {
-    const std::int64_t tw = plan.tile_for(d_out, part);
-    const std::int64_t chunk = plan.row_chunk > 0 ? plan.row_chunk : r1 - r0;
-    for (std::int64_t c0 = r0; c0 < r1; c0 += std::max<std::int64_t>(chunk, 1)) {
+                           std::int64_t r1, bool init, std::int64_t tw) {
+    const std::int64_t chunk =
+        std::max<std::int64_t>(row_chunk > 0 ? row_chunk : r1 - r0, 1);
+    for (std::int64_t c0 = r0; c0 < r1; c0 += chunk) {
       const std::int64_t c1 = std::min(c0 + chunk, r1);
       for (std::int64_t j0 = 0; j0 < d_out; j0 += tw) {
         const std::int64_t j1 = std::min(j0 + tw, d_out);
-        for (std::int64_t v = c0; v < c1; ++v) {
-          float* out_row = out + v * d_out;
-          if (init)
-            simd::fill(ops, out_row + j0, Reducer::identity(), j1 - j0);
-          const std::int64_t lo = indptr[v];
-          const std::int64_t hi = indptr[v + 1];
-          if constexpr (HasRowBlock<MsgFn>::value) {
-            if (plan.register_block) {
-              msg.template apply_rows<Reducer>(ops, indices + lo, hi - lo,
-                                               out_row, j0, j1, plan.unroll);
-              continue;
-            }
-          }
-          for (std::int64_t i = lo; i < hi; ++i) {
-            if constexpr (MsgFn::kUsesEdgeId) {
-              msg.template apply<Reducer>(ops, indices[i], edge_ids[i],
-                                          static_cast<graph::vid_t>(v),
-                                          out_row, j0, j1);
-            } else {
-              msg.template apply<Reducer>(ops, indices[i], 0,
-                                          static_cast<graph::vid_t>(v),
-                                          out_row, j0, j1);
-            }
+        if (!blocked) {
+          spmm_rows<MsgFn, Reducer>(ops, indptr, indices, edge_ids, c0, c1,
+                                    msg, out, d_out, j0, j1, init);
+          continue;
+        }
+        if constexpr (HasRowBlock<MsgFn>::value) {
+          for (std::int64_t v = c0; v < c1; ++v) {
+            float* out_row = out + v * d_out;
+            if (init)
+              simd::fill(ops, out_row + j0, Reducer::identity(), j1 - j0);
+            const std::int64_t lo = indptr[v];
+            msg.template apply_rows<Reducer>(ops, indices + lo,
+                                             indptr[v + 1] - lo, out_row, j0,
+                                             j1, unroll);
           }
         }
       }
     }
   };
-  // Threads cooperate inside one partition at a time (same nesting as the
-  // flat path); nnz balance is computed per segment.
+  // One parallel row sweep per partition segment; nnz balance is computed
+  // per segment — a partition's skew, not the whole graph's, decides its
+  // boundaries.
   const auto sweep = [&](const std::int64_t* indptr,
                          const graph::vid_t* indices,
                          const graph::eid_t* edge_ids, bool init, int part) {
-    const auto body = [&](std::int64_t r0, std::int64_t r1) {
-      segment(indptr, indices, edge_ids, r0, r1, init, part);
-    };
-    run_row_sweep(plan, indptr, n, body);
+    const std::int64_t tw = plan.tile_for(d_out, part);
+    run_row_sweep(plan, indptr, n, [&](std::int64_t r0, std::int64_t r1) {
+      segment(indptr, indices, edge_ids, r0, r1, init, tw);
+    });
   };
   if (parts == nullptr || parts->parts.size() <= 1) {
     sweep(adj.indptr.data(), adj.indices.data(), adj.edge_ids.data(),
           /*init=*/true, /*part=*/-1);
   } else {
     FG_CHECK(parts->num_rows == adj.num_rows);
-    bool first = true;
     int part = 0;
     for (const auto& seg : parts->parts) {
-      sweep(seg.indptr.data(), seg.indices.data(), seg.edge_ids.data(), first,
-            part);
-      first = false;
+      sweep(seg.indptr.data(), seg.indices.data(), seg.edge_ids.data(),
+            /*init=*/part == 0, part);
       ++part;
     }
   }
@@ -209,8 +205,8 @@ void spmm_interpret(const simd::SpanOps& ops, const graph::Csr& adj,
 }  // namespace detail
 
 /// Generalized SpMM over a destination-major CSR. `parts` may be null (no
-/// partitioning) or a 1D source partitioning of the same CSR. The schedule's
-/// feature tile, thread count, and load-balance policy apply in both cases.
+/// partitioning) or a 1D source partitioning of the same CSR matching the
+/// program's partition(P) transform.
 template <class MsgFn, class Reducer>
 void generalized_spmm(const graph::Csr& adj,
                       const graph::SrcPartitionedCsr* parts, const MsgFn& msg,
@@ -244,26 +240,10 @@ void generalized_spmm(const graph::Csr& adj,
         .arg("epilogue_sig", static_cast<std::int64_t>(sig));
   }
 
-  // Hoist every loop-nest decision out of the launch: flat knobs (or the
-  // attached Schedule-IR program) lower ONCE into a plain plan struct.
+  // Hoist every loop-nest decision out of the launch: the schedule's
+  // Schedule-IR program lowers ONCE into a plain plan struct.
   const LoweredSpmmPlan plan =
       lower_spmm_schedule(sched, n, d_out, simd::active_isa());
-
-  if (plan.needs_interpreter()) {
-    const simd::SpanOps& span = simd::span_ops_for_width(plan.max_tile(d_out));
-    detail::spmm_interpret<MsgFn, Reducer>(span, adj, parts, msg, out, d_out,
-                                           plan);
-    const std::int64_t* row_degree =
-        (parts != nullptr && parts->parts.size() > 1)
-            ? parts->row_degrees().data()
-            : adj.degrees().data();
-    detail::spmm_postprocess<Reducer>(span, row_degree, n, out, d_out,
-                                      plan.num_threads, epilogue);
-    return;
-  }
-
-  const std::int64_t tile =
-      plan.feat_tile > 0 ? std::min(plan.feat_tile, d_out) : d_out;
 
   // Dispatch hoisted out of the inner loops: resolve the span-primitive
   // table ONCE per kernel launch and thread the reference through the
@@ -273,46 +253,14 @@ void generalized_spmm(const graph::Csr& adj,
   // width-aware form additionally resolves narrow launches (every span a
   // 512-bit tail) straight to the AVX2 table — same code the intra-table
   // fallback would pick, minus its per-span branch.
-  const simd::SpanOps& span = simd::span_ops_for_width(tile);
+  const simd::SpanOps& span = simd::span_ops_for_width(plan.max_tile(d_out));
+  detail::spmm_interpret<MsgFn, Reducer>(span, adj, parts, msg, out, d_out,
+                                         plan);
 
-  // One edge segment, all threads cooperating; the load_balance knob picks
-  // whether thread boundaries equalize rows or nnz. Note nnz balance is
-  // computed per segment — a partition's skew, not the whole graph's,
-  // decides its boundaries.
-  const auto sweep = [&](const std::int64_t* indptr,
-                         const graph::vid_t* indices,
-                         const graph::eid_t* edge_ids, std::int64_t j0,
-                         std::int64_t j1, bool init) {
-    const auto body = [&](std::int64_t r0, std::int64_t r1) {
-      detail::spmm_rows<MsgFn, Reducer>(span, indptr, indices, edge_ids, r0,
-                                        r1, msg, out, d_out, j0, j1, init);
-    };
-    detail::run_row_sweep(plan, indptr, n, body);
-  };
-
-  for (std::int64_t j0 = 0; j0 < d_out; j0 += tile) {
-    const std::int64_t j1 = std::min(j0 + tile, d_out);
-    if (parts == nullptr || parts->parts.size() <= 1) {
-      sweep(adj.indptr.data(), adj.indices.data(), adj.edge_ids.data(), j0,
-            j1, /*init=*/true);
-    } else {
-      FG_CHECK(parts->num_rows == adj.num_rows);
-      bool first = true;
-      for (const auto& seg : parts->parts) {
-        // Threads cooperate inside ONE partition; the partition loop itself
-        // is sequential (Sec. IV-A: avoids LLC contention).
-        sweep(seg.indptr.data(), seg.indices.data(), seg.edge_ids.data(), j0,
-              j1, first);
-        first = false;
-      }
-    }
-  }
-
-  // An nnz-balanced sweep with empty rows can leave boundary gaps only if
-  // boundaries were non-tiling — nnz_split_point guarantees they tile, so
-  // every row was initialized above. Unpartitioned launches read the CSR's
-  // cached degree vector; partitioned launches read the partitioning's own
-  // cached reassembly of the per-segment degree slices (seeded for free by
+  // nnz_split_point boundaries tile the row range, so every row was
+  // initialized above. Unpartitioned launches read the CSR's cached degree
+  // vector; partitioned launches read the partitioning's own cached
+  // reassembly of the per-segment degree slices (seeded for free by
   // partition_by_source's pass-1 counts) — either way the vector is
   // materialized once per structure, never per call.
   const std::int64_t* row_degree =

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <tuple>
 
@@ -20,17 +19,18 @@ std::vector<CpuSpmmSchedule> default_spmm_candidates(std::int64_t d_out,
   std::vector<CpuSpmmSchedule> grid;
   const std::vector<LoadBalance> balances = load_balance_axis(num_threads);
   for (int parts : {1, 2, 4, 8, 16, 32}) {
+    // Every width is a multiple of 16, so each tile is legal on every
+    // backend (validate_spmm_ir) — the grid is ISA-independent.
     for (std::int64_t tile : {std::int64_t{0}, std::int64_t{16},
                               std::int64_t{32}, std::int64_t{64},
                               std::int64_t{128}}) {
       if (tile > d_out) continue;
       for (LoadBalance lb : balances) {
-        CpuSpmmSchedule s;
-        s.num_partitions = parts;
-        s.feat_tile = tile;
-        s.num_threads = num_threads;
-        s.load_balance = lb;
-        grid.push_back(s);
+        ScheduleIr ir;
+        if (parts > 1) ir.partition(parts);
+        if (tile > 0) ir.tile(tile);
+        if (lb != LoadBalance::kNnzBalanced) ir.split_nnz(lb);
+        grid.push_back(spmm_schedule(ir, num_threads));
       }
     }
   }
@@ -45,17 +45,12 @@ std::vector<CpuSpmmSchedule> default_spmm_ir_candidates(std::int64_t d_out,
   auto push = [&](const ScheduleIr& ir) {
     // Illegal programs (tile not a lane multiple on this backend, chunk past
     // the row count, ...) are filtered here, never measured.
-    if (!ir.empty() && !validate_spmm_ir(ir, num_rows, d_out, isa).empty())
-      return;
-    CpuSpmmSchedule s;
-    s.num_threads = num_threads;
-    if (!ir.empty()) s.ir = std::make_shared<const ScheduleIr>(ir);
-    grid.push_back(s);
+    if (!validate_spmm_ir(ir, num_rows, d_out, isa).empty()) return;
+    grid.push_back(spmm_schedule(ir, num_threads));
   };
 
-  // Candidate #0: the empty program. Lowered, it IS the untuned default
-  // schedule (needs_interpreter() == false), so the tuner's first
-  // measurement reproduces the pre-IR baseline bit-for-bit.
+  // Candidate #0: the empty program — the untuned default nest, so the
+  // tuner's first measurement is always the baseline.
   push(ScheduleIr{});
 
   // Register-blocked feature tiles x row chunks. Tile widths are lane
@@ -149,6 +144,31 @@ SpmmTuneResult tune_spmm(const graph::Csr& adj, std::string_view msg_op,
 
 namespace {
 
+/// The output width of a `msg_op` launch, resolved exactly as spmm(),
+/// attention() and attention_gpu() dispatch it: mlp aggregates to the
+/// weight's column count, copy_e to the edge feature width, every other op
+/// to the source feature width. All three tune caches key on it, so two
+/// launches of different widths never alias one cache entry.
+std::int64_t launch_d_out(const graph::Csr& adj, std::string_view msg_op,
+                          const tensor::Tensor* src_feat,
+                          const tensor::Tensor* edge_feat,
+                          const tensor::Tensor* weight) {
+  const auto defined = [](const tensor::Tensor* t) {
+    return t != nullptr && t->defined();
+  };
+  if (msg_op == "mlp") {
+    FG_CHECK_MSG(defined(weight), "mlp tuning requires weight");
+    return weight->shape(1);
+  }
+  if (msg_op == "copy_e") {
+    FG_CHECK_MSG(defined(edge_feat) && adj.nnz() > 0,
+                 "copy_e tuning requires edge_feat");
+    return edge_feat->numel() / adj.nnz();
+  }
+  FG_CHECK_MSG(defined(src_feat), "tuning requires src_feat for this msg_op");
+  return src_feat->row_size();
+}
+
 struct TuneKey {
   std::uint64_t adj_uid;  // structure uid, not address (addresses recycle)
   std::string msg_op;
@@ -171,9 +191,8 @@ CpuSpmmSchedule tuned_spmm_schedule(const graph::Csr& adj,
                                     std::string_view reduce_op,
                                     const SpmmOperands& operands,
                                     int num_threads) {
-  const std::int64_t d =
-      operands.weight != nullptr ? operands.weight->shape(1)
-                                 : operands.src_feat->row_size();
+  const std::int64_t d = launch_d_out(adj, msg_op, operands.src_feat,
+                                      operands.edge_feat, operands.weight);
   const TuneKey key{adj.uid, std::string(msg_op), std::string(reduce_op), d,
                     num_threads};
   {
@@ -222,22 +241,8 @@ CpuSpmmSchedule tuned_attention_schedule(const graph::Csr& adj,
                                          std::string_view msg_op,
                                          const AttentionOperands& operands,
                                          int num_threads) {
-  // d_out resolution mirrors attention()'s msg-op dispatch: mlp aggregates
-  // to the weight's output width, copy_e to the edge feature width, and the
-  // u-op family to the source feature width.
-  std::int64_t d = 0;
-  if (operands.weight != nullptr && operands.weight->defined()) {
-    d = operands.weight->shape(1);
-  } else if (msg_op == "copy_e") {
-    FG_CHECK_MSG(operands.edge_feat != nullptr && operands.edge_feat->defined() &&
-                     adj.nnz() > 0,
-                 "copy_e attention tuning requires edge_feat");
-    d = operands.edge_feat->numel() / adj.nnz();
-  } else {
-    FG_CHECK_MSG(operands.src_feat != nullptr && operands.src_feat->defined(),
-                 "attention tuning requires src_feat for this msg_op");
-    d = operands.src_feat->row_size();
-  }
+  const std::int64_t d = launch_d_out(adj, msg_op, operands.src_feat,
+                                      operands.edge_feat, operands.weight);
   const TuneKey key{adj.uid, "attn:" + std::string(msg_op), "sum", d,
                     num_threads};
   {
@@ -245,11 +250,8 @@ CpuSpmmSchedule tuned_attention_schedule(const graph::Csr& adj,
     auto it = g_tune_cache.find(key);
     if (it != g_tune_cache.end()) return it->second;
   }
-  std::vector<CpuSpmmSchedule> candidates =
-      default_spmm_candidates(d, num_threads);
-  for (auto& c : candidates) c.num_threads = num_threads;
-  SpmmTuneResult tuned =
-      tune_attention(adj, msg_op, operands, std::move(candidates));
+  SpmmTuneResult tuned = tune_attention(
+      adj, msg_op, operands, default_spmm_candidates(d, num_threads));
   std::lock_guard<std::mutex> lock(g_tune_mutex);
   g_tune_cache.emplace(key, tuned.best);
   return tuned.best;
@@ -298,9 +300,19 @@ GpuAttentionTuneResult tune_attention_gpu(
     const AttentionOperands& operands,
     std::vector<GpuSpmmSchedule> candidates, const gpusim::DeviceSpec& spec) {
   FG_CHECK(!candidates.empty());
+  static obs::Counter& obs_tunes =
+      obs::Registry::global().counter("tuner.tune.count");
+  static obs::Counter& obs_trials =
+      obs::Registry::global().counter("tuner.trial.count");
+  obs_tunes.add(1);
+  FG_TRACE_SCOPE("tuner.tune", obs::arg("kind", "attention_gpu"),
+                 obs::arg("candidates",
+                          static_cast<std::int64_t>(candidates.size())));
   GpuAttentionTuneResult result;
   result.best_seconds = std::numeric_limits<double>::infinity();
   for (const auto& cand : candidates) {
+    obs_trials.add(1);
+    FG_TRACE_SCOPE("tuner.trial");
     // The objective is the SIMULATED cost — deterministic, so one
     // evaluation per candidate and no timing reps.
     const double secs =
@@ -338,12 +350,8 @@ GpuSpmmSchedule tuned_gpu_attention_schedule(const graph::Csr& adj,
                                              std::string_view msg_op,
                                              const AttentionOperands& operands,
                                              const gpusim::DeviceSpec& spec) {
-  const std::int64_t d =
-      operands.weight != nullptr && operands.weight->defined()
-          ? operands.weight->shape(1)
-          : (operands.src_feat != nullptr && operands.src_feat->defined()
-                 ? operands.src_feat->row_size()
-                 : 0);
+  const std::int64_t d = launch_d_out(adj, msg_op, operands.src_feat,
+                                      operands.edge_feat, operands.weight);
   const GpuTuneKey key{adj.uid, std::string(msg_op), d,
                        spec.smem_bytes_per_block};
   {
@@ -370,17 +378,19 @@ std::function<double(const GpuSpmmSchedule&)> gpu_attention_measure_fn(
 
 CpuSpmmSchedule heuristic_spmm_schedule(const graph::Csr& adj,
                                         std::int64_t d_feat, int num_threads) {
-  CpuSpmmSchedule s;
-  s.num_threads = num_threads;
-  s.load_balance = LoadBalance::kNnzBalanced;  // never worse on skewed graphs
-  s.feat_tile = std::min<std::int64_t>(d_feat, 64);
-  const double tile_bytes = static_cast<double>(s.feat_tile) * sizeof(float);
-  const double src_bytes = static_cast<double>(adj.num_cols) * tile_bytes;
+  // Feature tiles of 64 (a multiple of every backend's lane width, so the
+  // program is legal on every ISA; narrower features run untiled) and the
+  // default nnz-balanced row split, never worse on skewed graphs.
+  const std::int64_t tile = std::min<std::int64_t>(d_feat, 64);
+  const double src_bytes = static_cast<double>(adj.num_cols) *
+                           static_cast<double>(tile) * sizeof(float);
   const double budget = 12.5 * 1024 * 1024;  // half of the paper's 25 MB LLC
   int parts = 1;
   while (parts < 64 && src_bytes / parts > budget) parts *= 2;
-  s.num_partitions = parts;
-  return s;
+  ScheduleIr ir;
+  if (parts > 1) ir.partition(parts);
+  if (d_feat > 64) ir.tile(64);
+  return spmm_schedule(ir, num_threads);
 }
 
 }  // namespace featgraph::core

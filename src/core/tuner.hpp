@@ -2,7 +2,8 @@
 // find the optimal parameters under a given input shape").
 //
 // The design space is the product of template parameters (number of graph
-// partitions) and FDS parameters (feature tile width). Results are cached
+// partitions) and FDS parameters (feature tile width), each point a
+// Schedule-IR program (core/schedule_ir.hpp). Results are cached
 // per (graph, kernel, feature length, threads): GNN training runs hundreds
 // of epochs over a fixed topology, so tuning cost is amortized to noise
 // (Sec. V-E excludes it for the same reason).
@@ -31,13 +32,14 @@ struct SpmmTuneResult {
   std::vector<SpmmTrial> trials;
 };
 
-/// Candidate grid: partition counts x feature tiles, all at `num_threads`.
+/// The paper's candidate grid: partition(P) x tile(W) x split_nnz programs,
+/// all at `num_threads`. Every entry is legal on every backend.
 std::vector<CpuSpmmSchedule> default_spmm_candidates(std::int64_t d_out,
                                                      int num_threads);
 
 /// Schedule-IR candidate grid. The FIRST candidate is the empty program —
-/// lowered it reproduces the untuned default schedule bit-for-bit, so the
-/// tuner's opening measurement is always the pre-IR baseline. The rest are
+/// the untuned default nest, so the tuner's opening measurement is always
+/// the baseline. The rest are
 /// legal IR programs (filtered through validate_spmm_ir against the active
 /// backend, so the AVX2 and AVX-512 legs see different tile-width axes):
 /// register-blocked feature tiles tile(W).unroll(U), row chunking chunk(C),
@@ -55,15 +57,19 @@ SpmmTuneResult tune_spmm(const graph::Csr& adj, std::string_view msg_op,
                          int timing_reps = 1);
 
 /// Cached best schedule for (adj, msg_op, reduce_op, d_out, threads);
-/// tunes with the default grid on first call.
+/// tunes with the default grid on first call. d_out is resolved the way
+/// spmm() dispatches msg_op (mlp: weight columns, copy_e: edge feature
+/// width, otherwise the source feature width).
 CpuSpmmSchedule tuned_spmm_schedule(const graph::Csr& adj,
                                     std::string_view msg_op,
                                     std::string_view reduce_op,
                                     const SpmmOperands& operands,
                                     int num_threads);
 
-/// A sensible untuned default: partitions sized so one partition's source
-/// features fit in roughly half of a 25 MB LLC, feature tile 64.
+/// A sensible untuned default: partition(P) sized so one partition's source
+/// feature tile fits in roughly half of a 25 MB LLC (emitted only when
+/// P > 1), and tile(64) when d_feat > 64. Legal on every backend; the empty
+/// program for small graphs with d_feat <= 64.
 CpuSpmmSchedule heuristic_spmm_schedule(const graph::Csr& adj,
                                         std::int64_t d_feat, int num_threads);
 

@@ -19,6 +19,7 @@
 
 #include "core/attention.hpp"
 #include "core/schedule.hpp"
+#include "core/schedule_ir.hpp"
 #include "core/sddmm.hpp"
 #include "core/spmm.hpp"
 #include "core/tuner.hpp"

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <memory>
 #include <utility>
 
 #include "core/attention.hpp"
@@ -67,7 +68,7 @@ Tensor run_spmm(ExecContext& ctx, const graph::Csr& adj,
     // the stream of same-shaped blocks reuses the winner. The context's
     // Schedule-IR program (or the empty default) and the fused-epilogue
     // signature hash into the key so two programs over one geometry get
-    // distinct entries. num_partitions is pinned to 1 (see
+    // distinct entries. Cached schedules never partition (see
     // ExecContext::schedule_cache) — also what keeps full-fanout block
     // inference bit-identical to the unpartitioned full-graph path.
     core::CpuSpmmSchedule probe;
@@ -75,20 +76,22 @@ Tensor run_spmm(ExecContext& ctx, const graph::Csr& adj,
     sched = ctx.schedule_cache->schedule_for(
         adj.num_rows, adj.nnz(), d_out, ctx.num_threads,
         core::schedule_program_hash(probe, epilogue_sig), [&] {
-          if (ctx.tune_block_schedules) {
-            return core::tune_spmm(adj, msg_op, reduce_op, operands,
-                                   core::default_spmm_candidates(
-                                       d_out, ctx.num_threads))
-                .best;
-          }
-          return core::heuristic_spmm_schedule(adj, d_out, ctx.num_threads);
+          core::CpuSpmmSchedule s =
+              ctx.tune_block_schedules
+                  ? core::tune_spmm(adj, msg_op, reduce_op, operands,
+                                    core::default_spmm_candidates(
+                                        d_out, ctx.num_threads))
+                        .best
+                  : core::heuristic_spmm_schedule(adj, d_out,
+                                                  ctx.num_threads);
+          if (s.ir == nullptr) return s;
+          return core::spmm_schedule(
+              s.ir->without(core::IrTransformKind::kPartition), s.num_threads);
         });
-    sched.num_partitions = 1;
   } else {
     sched = core::heuristic_spmm_schedule(adj, d_out, ctx.num_threads);
   }
-  // The context's IR program, when present, overrides the flat knobs above
-  // (lowering treats an attached program as authoritative).
+  // The context's IR program, when present, replaces the served program.
   if (ctx.block_schedule_ir != nullptr) sched.ir = ctx.block_schedule_ir;
   return core::spmm(adj, msg_op, reduce_op, sched, operands, epilogue);
 }

@@ -42,7 +42,8 @@ struct ExecContext {
   /// When set, CPU sparse ops resolve their schedule through this
   /// shape-class memo (sample/pipeline.hpp) instead of re-deriving it per
   /// launch — the minibatch pipeline's "consult the tuner once per shape
-  /// class" contract. Schedules served from it pin num_partitions == 1:
+  /// class" contract. Schedules served from it never partition (the
+  /// partition transform is dropped from the tuned/heuristic program):
   /// blocks are minibatch-sized (no LLC pressure to partition away) and the
   /// per-uid partition cache would grow without bound over a stream of
   /// short-lived block adjacencies.

@@ -150,7 +150,7 @@ serve::BatchComputeFn Trainer::make_serve_compute(
              tensor::Tensor input_feats) {
     // Route the block launches through the shape-class memo for the call,
     // then restore — mirrors infer_minibatch's discipline (schedules served
-    // from the cache pin num_partitions == 1, part of the solo-vs-coalesced
+    // from the cache never partition, part of the solo-vs-coalesced
     // bit-identity contract: partitioned folds regroup a destination row's
     // accumulation by source bucket, which depends on the merged block's
     // column count).

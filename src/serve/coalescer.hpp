@@ -24,7 +24,7 @@
 // Determinism: because the neighbor sampler keys its RNG streams on
 // (batch, hop, destination VERTEX) — not seed position — and block SpMM
 // accumulates each destination row independently in CSR row order
-// (num_partitions pinned 1 on the serving path), every per-request output
+// (no partition transform on the serving path), every per-request output
 // row of the coalesced batch is BIT-IDENTICAL to serving that request
 // alone under the same sampler stream (Serve.CoalescedMatchesSoloBitForBit
 // pins this per ISA).

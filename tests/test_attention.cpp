@@ -1,7 +1,7 @@
 // Differential + property tests for the fused attention engine
 // (core/attention.hpp), following the ISA-matrix pattern of
 // tests/test_isa_differential.cpp: every builtin msg_op x every supported
-// ISA x both load_balance policies x partition counts is checked against
+// ISA x both row-split policies x partition counts is checked against
 // the composed-op oracle (tests/reference.hpp), with the scalar
 // one-partition cell held to BIT-FOR-BIT equality (there the fused kernel
 // performs the oracle's exact IEEE operations in its exact order) and the
@@ -21,6 +21,7 @@
 #include "core/sddmm.hpp"
 #include "core/spmm.hpp"
 #include "graph/generators.hpp"
+#include "grid_schedule.hpp"
 #include "reference.hpp"
 
 namespace fg = featgraph;
@@ -33,6 +34,7 @@ using fg::graph::Coo;
 using fg::graph::Csr;
 using fg::simd::Isa;
 using fg::tensor::Tensor;
+using fg::testing::grid_schedule;
 
 namespace {
 
@@ -185,12 +187,8 @@ TEST(Attention, FusedMatchesOracleOnEveryMsgOpIsaBalancePartitionCell) {
       for (const LoadBalance lb :
            {LoadBalance::kStaticRows, LoadBalance::kNnzBalanced}) {
         for (const int parts : {1, 4}) {
-          CpuSpmmSchedule sched;
-          sched.num_threads = 3;
-          sched.load_balance = lb;
-          sched.num_partitions = parts;
-          const AttentionResult got =
-              fg::core::attention(f.in_csr, op, sched, operands);
+          const AttentionResult got = fg::core::attention(
+              f.in_csr, op, grid_schedule(parts, 0, 3, lb), operands);
           const std::string cell = std::string(op) +
                                    (scalar_edge ? "(e-scalar)" : "") +
                                    " isa=" + fg::simd::isa_name(isa) +
@@ -243,10 +241,7 @@ TEST(Attention, FusedCopyUIsBitForBitWithComposedCoreOpsOnEveryCell) {
     for (const LoadBalance lb :
          {LoadBalance::kStaticRows, LoadBalance::kNnzBalanced}) {
       for (const int parts : {1, 4}) {
-        CpuSpmmSchedule sched;
-        sched.num_threads = 3;
-        sched.load_balance = lb;
-        sched.num_partitions = parts;
+        const CpuSpmmSchedule sched = grid_schedule(parts, 0, 3, lb);
         const Tensor composed = fg::core::spmm(f.in_csr, "u_mul_e", "sum",
                                                sched, {&f.x, &alpha, nullptr});
         const AttentionResult fused =
@@ -309,11 +304,8 @@ TEST(Attention, EdgeCaseRowsEmptySingleEdgeIsolatedAndHub) {
   for (const Isa isa : fg::simd::supported_isas()) {
     fg::simd::ScopedIsa pin(isa);
     for (const int parts : {1, 2}) {
-      CpuSpmmSchedule sched;
-      sched.num_threads = 2;
-      sched.num_partitions = parts;
-      const AttentionResult got =
-          fg::core::attention(in, "copy_u", sched, operands);
+      const AttentionResult got = fg::core::attention(
+          in, "copy_u", grid_schedule(parts, 0, 2), operands);
       expect_close(got.out, oracle, 1e-4f, 1e-5f, fg::simd::isa_name(isa));
       // Empty rows aggregate to exactly zero.
       for (const fg::graph::vid_t v : {0, 3, 5, 6})
@@ -377,7 +369,7 @@ TEST(Attention, ZeroDegreeRowsYieldZerosNeverNaN) {
 
 TEST(Attention, AlphaIsInvariantAcrossEverySchedule) {
   // The softmax never depends on the aggregation schedule: alpha must be
-  // bit-for-bit identical across load_balance x partitions x feat_tile (at
+  // bit-for-bit identical across row split x partitions x tile (at
   // a fixed ISA — threads only move row ownership, never per-row order).
   const Fixture& f = Fixture::get();
   AttentionOperands operands;
@@ -386,14 +378,9 @@ TEST(Attention, AlphaIsInvariantAcrossEverySchedule) {
   for (const LoadBalance lb :
        {LoadBalance::kStaticRows, LoadBalance::kNnzBalanced}) {
     for (const int parts : {1, 4}) {
-      for (const std::int64_t tile : {std::int64_t{0}, std::int64_t{7}}) {
-        CpuSpmmSchedule sched;
-        sched.num_threads = 3;
-        sched.load_balance = lb;
-        sched.num_partitions = parts;
-        sched.feat_tile = tile;
-        const AttentionResult got =
-            fg::core::attention(f.in_csr, "copy_u", sched, operands);
+      for (const std::int64_t tile : {std::int64_t{0}, std::int64_t{8}}) {
+        const AttentionResult got = fg::core::attention(
+            f.in_csr, "copy_u", grid_schedule(parts, tile, 3, lb), operands);
         if (!first.defined()) {
           first = got.alpha.clone();
         } else {
@@ -416,11 +403,9 @@ TEST(Attention, FeatTileNeverChangesUnpartitionedResults) {
   ref_sched.num_threads = 3;
   const AttentionResult ref =
       fg::core::attention(f.in_csr, "copy_u", ref_sched, operands);
-  for (const std::int64_t tile : {std::int64_t{5}, std::int64_t{16}}) {
-    CpuSpmmSchedule sched = ref_sched;
-    sched.feat_tile = tile;
-    const AttentionResult got =
-        fg::core::attention(f.in_csr, "copy_u", sched, operands);
+  for (const std::int64_t tile : {std::int64_t{8}, std::int64_t{16}}) {
+    const AttentionResult got = fg::core::attention(
+        f.in_csr, "copy_u", grid_schedule(1, tile, 3), operands);
     EXPECT_TRUE(bit_equal(got.out, ref.out)) << "tile=" << tile;
   }
 }

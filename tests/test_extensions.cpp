@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <map>
 
+#include "core/schedule_ir.hpp"
 #include "core/smart_tuner.hpp"
 #include "core/tuner.hpp"
 #include "graph/generators.hpp"
@@ -25,12 +26,18 @@ using fg::tensor::Tensor;
 
 namespace {
 
+/// The lowered plan of `s` (any d_out the lattice tiles fit in).
+fg::core::LoweredSpmmPlan plan_of(const CpuSpmmSchedule& s) {
+  return fg::core::lower_spmm_schedule(s, 1000, 512, fg::simd::active_isa());
+}
+
 /// Synthetic unimodal cost surface with minimum at (parts=8, tile=32).
 double synthetic_cost(const CpuSpmmSchedule& s) {
-  const double lp = std::log2(static_cast<double>(s.num_partitions));
-  const double lt = s.feat_tile == 0
+  const auto p = plan_of(s);
+  const double lp = std::log2(static_cast<double>(p.num_partitions));
+  const double lt = p.feat_tile == 0
                         ? 7.0  // "untiled" sits past the largest tile
-                        : std::log2(static_cast<double>(s.feat_tile));
+                        : std::log2(static_cast<double>(p.feat_tile));
   return 1.0 + 0.3 * (lp - 3.0) * (lp - 3.0) + 0.2 * (lt - 5.0) * (lt - 5.0);
 }
 
@@ -48,8 +55,8 @@ TEST(SmartTuner, FindsUnimodalOptimumWithinBudget) {
         return synthetic_cost(s);
       },
       SmartTuneOptions{.max_trials = 20, .num_seeds = 3, .seed = 7});
-  EXPECT_EQ(result.best.num_partitions, 8);
-  EXPECT_EQ(result.best.feat_tile, 32);
+  ASSERT_NE(result.best.ir, nullptr);
+  EXPECT_EQ(result.best.ir->describe(), "partition(8).tile(32)");
   EXPECT_LE(result.trials_used, 20);
   EXPECT_EQ(calls, result.trials_used);
 }
@@ -70,8 +77,8 @@ TEST(SmartTuner, DeterministicForFixedSeed) {
   };
   const auto a = run();
   const auto b = run();
-  EXPECT_EQ(a.best.num_partitions, b.best.num_partitions);
-  EXPECT_EQ(a.best.feat_tile, b.best.feat_tile);
+  EXPECT_EQ(fg::core::schedule_program_hash(a.best),
+            fg::core::schedule_program_hash(b.best));
   EXPECT_EQ(a.trials_used, b.trials_used);
 }
 

@@ -4,7 +4,7 @@
 //
 // Random R-MAT SpMM/SDDMM results under ScopedIsa for EVERY available ISA
 // level must match the naive tests/reference.hpp oracle, for all builtin
-// UDFs x reducers x both load_balance modes — and, on accumulation paths,
+// UDFs x reducers x both row-split policies — and, on accumulation paths,
 // must additionally be bit-for-bit identical to the scalar backend (the
 // simd.hpp rounding contract observed through the full kernel stack).
 #include <gtest/gtest.h>
@@ -20,16 +20,17 @@
 #include "core/sddmm.hpp"
 #include "core/spmm.hpp"
 #include "graph/generators.hpp"
+#include "grid_schedule.hpp"
 #include "reference.hpp"
 
 namespace fg = featgraph;
 using fg::core::CpuSddmmSchedule;
-using fg::core::CpuSpmmSchedule;
 using fg::core::LoadBalance;
 using fg::graph::Coo;
 using fg::graph::Csr;
 using fg::simd::Isa;
 using fg::tensor::Tensor;
+using fg::testing::grid_schedule;
 
 namespace {
 
@@ -148,10 +149,9 @@ TEST(IsaDifferential, SpmmAllUdfsReducersBalancesMatchOracleOnEveryIsa) {
         fg::simd::ScopedIsa pin(isa);
         for (const LoadBalance lb :
              {LoadBalance::kStaticRows, LoadBalance::kNnzBalanced}) {
-          CpuSpmmSchedule sched;
-          sched.num_threads = 3;
-          sched.load_balance = lb;
-          const Tensor got = fg::core::spmm(f.in_csr, op, red, sched, operands);
+          const Tensor got = fg::core::spmm(f.in_csr, op, red,
+                                            grid_schedule(1, 0, 3, lb),
+                                            operands);
           // The mlp UDF's rank-1-update k-loop reassociates vs the oracle's
           // per-element dot; everything else runs the oracle's exact
           // reduction order (one partition, row-owned threads).
@@ -180,21 +180,19 @@ TEST(IsaDifferential, SpmmLegalIrProgramsBitIdenticalToDefaultOnEveryIsa) {
   // tiles, nnz-splitting — produces output bit-for-bit identical to the
   // default schedule on the SAME backend, for every msg op x reducer.
   // partition(P) regroups each destination row's in-edges by source bucket
-  // (an intentional fold reorder, same as the flat num_partitions knob), so
-  // partitioned programs are pinned against their flat-knob spelling
-  // instead: same code path, bit-identical. (Cross-backend identity is the
+  // (an intentional fold reorder), so partitioned programs are pinned
+  // against partition(P) alone instead. (Cross-backend identity is the
   // previous test; composing both gives program x ISA identity.)
   const Fixture& f = Fixture::get();
   const auto isas = fg::simd::supported_isas();
   using fg::core::ScheduleIr;
   // d_out = kDim = 19: tile widths 8 and 16 are legal on every backend
   // (scalar takes any width; AVX2 is 8-lane; AVX-512 reroutes 8 and takes
-  // 16 natively). flat_parts == 1 compares against the default schedule;
-  // flat_parts > 1 compares against {num_partitions, feat_tile} flat knobs.
+  // 16 natively). base_parts == 1 compares against the empty program;
+  // base_parts > 1 against partition(base_parts) alone.
   struct Case {
     ScheduleIr prog;
-    int flat_parts = 1;
-    std::int64_t flat_tile = 0;
+    int base_parts = 1;
   };
   const std::vector<Case> cases = {
       {ScheduleIr().chunk(64)},
@@ -202,8 +200,8 @@ TEST(IsaDifferential, SpmmLegalIrProgramsBitIdenticalToDefaultOnEveryIsa) {
       {ScheduleIr().tile(16).unroll(4)},
       {ScheduleIr().tile(8).unroll(2).chunk(100)},
       {ScheduleIr().split_nnz(LoadBalance::kStaticRows).tile(8).unroll(4)},
-      {ScheduleIr().partition(4).tile(16).unroll(4), 4, 16},
-      {ScheduleIr().partition(4).tile(16).override_partition(1, 8), 4, 16},
+      {ScheduleIr().partition(4).tile(16).unroll(4), 4},
+      {ScheduleIr().partition(4).tile(16).override_partition(1, 8), 4},
   };
   const char* msg_ops[] = {"copy_u", "copy_e", "u_add_v", "u_sub_v",
                            "u_mul_v", "u_div_v", "u_add_e", "u_mul_e", "mlp"};
@@ -220,18 +218,10 @@ TEST(IsaDifferential, SpmmLegalIrProgramsBitIdenticalToDefaultOnEveryIsa) {
                                                kDim, isa),
                     "")
               << c.prog.describe();
-          CpuSpmmSchedule baseline;
-          baseline.num_threads = 3;
-          if (c.flat_parts > 1) {
-            baseline.num_partitions = c.flat_parts;
-            baseline.feat_tile = c.flat_tile;
-          }
-          const Tensor want =
-              fg::core::spmm(f.in_csr, op, red, baseline, operands);
-          CpuSpmmSchedule s;
-          s.num_threads = 3;
-          s.ir = std::make_shared<const ScheduleIr>(c.prog);
-          const Tensor got = fg::core::spmm(f.in_csr, op, red, s, operands);
+          const Tensor want = fg::core::spmm(
+              f.in_csr, op, red, grid_schedule(c.base_parts, 0, 3), operands);
+          const Tensor got = fg::core::spmm(
+              f.in_csr, op, red, fg::core::spmm_schedule(c.prog, 3), operands);
           EXPECT_TRUE(bit_equal(got, want))
               << op << "/" << red << " isa=" << fg::simd::isa_name(isa)
               << " program=" << c.prog.describe();
@@ -245,10 +235,9 @@ TEST(IsaDifferential, AttentionIrProgramsBitIdenticalToDefaultOnEveryIsa) {
   // Fused attention interprets the same lowered plan (including the
   // weighted register-blocked path for copy_u); softmax spans are
   // degree-length regardless of the program, so bit-identity holds.
-  // Order-preserving programs pin against the default schedule; the
-  // partitioned program pins against its flat-knob spelling (partitioning
-  // regroups each row's edge fold by source bucket, exactly like the flat
-  // num_partitions knob).
+  // Order-preserving programs pin against the empty program; the
+  // partitioned program pins against partition(P) alone (partitioning
+  // regroups each row's edge fold by source bucket).
   const Fixture& f = Fixture::get();
   const auto isas = fg::simd::supported_isas();
   using fg::core::ScheduleIr;
@@ -257,29 +246,21 @@ TEST(IsaDifferential, AttentionIrProgramsBitIdenticalToDefaultOnEveryIsa) {
   ops.logit_scale = 0.25f;
   struct Case {
     ScheduleIr prog;
-    int flat_parts = 1;
-    std::int64_t flat_tile = 0;
+    int base_parts = 1;
   };
   const std::vector<Case> cases = {
       {ScheduleIr().chunk(64)},
       {ScheduleIr().tile(16).unroll(4)},
       {ScheduleIr().tile(8).unroll(2).chunk(100)},
-      {ScheduleIr().partition(2).tile(8), 2, 8},
+      {ScheduleIr().partition(2).tile(8), 2},
   };
   for (const Isa isa : isas) {
     fg::simd::ScopedIsa pin(isa);
     for (const Case& c : cases) {
-      CpuSpmmSchedule baseline;
-      baseline.num_threads = 3;
-      if (c.flat_parts > 1) {
-        baseline.num_partitions = c.flat_parts;
-        baseline.feat_tile = c.flat_tile;
-      }
-      const auto want = fg::core::attention(f.in_csr, "copy_u", baseline, ops);
-      CpuSpmmSchedule s;
-      s.num_threads = 3;
-      s.ir = std::make_shared<const ScheduleIr>(c.prog);
-      const auto got = fg::core::attention(f.in_csr, "copy_u", s, ops);
+      const auto want = fg::core::attention(
+          f.in_csr, "copy_u", grid_schedule(c.base_parts, 0, 3), ops);
+      const auto got = fg::core::attention(
+          f.in_csr, "copy_u", fg::core::spmm_schedule(c.prog, 3), ops);
       EXPECT_TRUE(bit_equal(got.out, want.out))
           << "out isa=" << fg::simd::isa_name(isa)
           << " program=" << c.prog.describe();
@@ -290,10 +271,10 @@ TEST(IsaDifferential, AttentionIrProgramsBitIdenticalToDefaultOnEveryIsa) {
   }
 }
 
-TEST(IsaDifferential, SddmmIrProgramsBitIdenticalToFlatOnEveryIsa) {
-  // SDDMM programs: chunk(C) is a pure split of the per-thread edge loop
-  // (bit-identical to untiled flat), and tile(W) runs the identical code
-  // path as the flat reduce_tile knob.
+TEST(IsaDifferential, SddmmIrProgramsBitIdenticalOnEveryIsa) {
+  // SDDMM programs: chunk(C) is a pure split of the per-thread edge loop,
+  // bit-identical to the same program without it — untiled or tile(W)
+  // reduce-axis tiled.
   const Fixture& f = Fixture::get();
   const auto isas = fg::simd::supported_isas();
   using fg::core::ScheduleIr;
@@ -309,13 +290,14 @@ TEST(IsaDifferential, SddmmIrProgramsBitIdenticalToFlatOnEveryIsa) {
         fg::core::sddmm(f.coo, "dot", chunked, {&f.x, nullptr}), want))
         << "chunk isa=" << fg::simd::isa_name(isa);
 
-    CpuSddmmSchedule flat_tiled = def;
-    flat_tiled.reduce_tile = 8;
-    CpuSddmmSchedule ir_tiled = def;
-    ir_tiled.ir = std::make_shared<const ScheduleIr>(ScheduleIr().tile(8));
+    CpuSddmmSchedule tiled = def;
+    tiled.ir = std::make_shared<const ScheduleIr>(ScheduleIr().tile(8));
+    CpuSddmmSchedule tiled_chunked = def;
+    tiled_chunked.ir =
+        std::make_shared<const ScheduleIr>(ScheduleIr().tile(8).chunk(128));
     EXPECT_TRUE(bit_equal(
-        fg::core::sddmm(f.coo, "dot", ir_tiled, {&f.x, nullptr}),
-        fg::core::sddmm(f.coo, "dot", flat_tiled, {&f.x, nullptr})))
+        fg::core::sddmm(f.coo, "dot", tiled_chunked, {&f.x, nullptr}),
+        fg::core::sddmm(f.coo, "dot", tiled, {&f.x, nullptr})))
         << "tile isa=" << fg::simd::isa_name(isa);
   }
 }

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/schedule_ir.hpp"
-
+#include "core/tuner.hpp"
 #include "graph/generators.hpp"
 #include "minidgl/train.hpp"
 #include "parallel/thread_pool.hpp"
@@ -213,16 +213,15 @@ TEST(Pipeline, SerialFallbackInsideAnActiveLaunch) {
 TEST(Pipeline, BlockScheduleCacheKeysOnShapeClass) {
   BlockScheduleCache cache;
   int tunes = 0;
+  const auto tiled = fg::core::spmm_schedule(fg::core::ScheduleIr().tile(32));
   const auto tune = [&] {
     ++tunes;
-    fg::core::CpuSpmmSchedule s;
-    s.feat_tile = 32;
-    return s;
+    return tiled;
   };
   // Same log2 buckets -> one tune, then hits. Program hash 0 = no IR.
-  EXPECT_EQ(cache.schedule_for(1000, 8000, 64, 2, 0, tune).feat_tile, 32);
-  EXPECT_EQ(cache.schedule_for(1023, 8191, 64, 2, 0, tune).feat_tile, 32);
-  EXPECT_EQ(cache.schedule_for(513, 4100, 64, 2, 0, tune).feat_tile, 32);
+  EXPECT_EQ(cache.schedule_for(1000, 8000, 64, 2, 0, tune).ir, tiled.ir);
+  EXPECT_EQ(cache.schedule_for(1023, 8191, 64, 2, 0, tune).ir, tiled.ir);
+  EXPECT_EQ(cache.schedule_for(513, 4100, 64, 2, 0, tune).ir, tiled.ir);
   EXPECT_EQ(tunes, 1);
   EXPECT_EQ(cache.hits(), 2);
   EXPECT_EQ(cache.misses(), 1);
@@ -235,6 +234,50 @@ TEST(Pipeline, BlockScheduleCacheKeysOnShapeClass) {
   EXPECT_EQ(tunes, 4);
 }
 
+TEST(Pipeline, CachedBlockScheduleNeverPartitionsAtScale) {
+  // The block-cache partition rule past one partition: a full-fanout block
+  // over 60k sources x 64 features (15.4 MB of source rows, past the
+  // heuristic's 12.5 MB budget) makes the heuristic pick partition(2).
+  // Served through the schedule cache, the partition transform is dropped,
+  // so the block launch stays memcmp-equal to the unpartitioned full-graph
+  // launch; a partitioned fold would regroup each row's edges by source
+  // bucket.
+  constexpr vid_t kN = 60000;
+  constexpr std::int64_t kD = 64;
+  const Csr csr = fg::graph::coo_to_in_csr(fg::graph::gen_uniform(kN, 8.0, 91));
+  const Tensor x = Tensor::randn({kN, kD}, 92);
+  std::vector<vid_t> all(static_cast<std::size_t>(kN));
+  for (vid_t v = 0; v < kN; ++v) all[static_cast<std::size_t>(v)] = v;
+  NeighborSampler sampler(csr, {{-1}, false, 1});
+  const auto mfg = sampler.sample(all, 0);
+  const fg::sample::Block& block = mfg.blocks[0];
+  ASSERT_GE(block.adj.num_cols, 52000);
+  ASSERT_EQ(fg::core::schedule_num_partitions(
+                fg::core::heuristic_spmm_schedule(block.adj, kD, 2)),
+            2);
+  const Tensor gathered = fg::sample::gather_rows(x, block.src_nodes);
+  for (const char* reduce : {"sum", "mean"}) {
+    BlockScheduleCache cache;
+    fg::minidgl::ExecContext ctx;
+    ctx.num_threads = 2;
+    ctx.schedule_cache = &cache;
+    const Tensor got =
+        fg::minidgl::block_spmm_copy_u(
+            ctx, block, fg::minidgl::make_leaf(gathered, false, "x"), reduce)
+            ->value();
+    const Tensor want =
+        fg::core::spmm(csr, "copy_u", reduce, fg::core::CpuSpmmSchedule{},
+                       {&x, nullptr, nullptr});
+    EXPECT_EQ(cache.misses(), 1) << reduce;
+    ASSERT_EQ(got.numel(), want.numel()) << reduce;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          static_cast<std::size_t>(got.numel()) *
+                              sizeof(float)),
+              0)
+        << reduce;
+  }
+}
+
 TEST(Pipeline, ScheduleCacheSeparatesProgramsWithinOneShapeClass) {
   // Two different Schedule-IR programs over the SAME (rows, nnz, width,
   // threads) class must not alias: the program hash is part of the key.
@@ -244,20 +287,20 @@ TEST(Pipeline, ScheduleCacheSeparatesProgramsWithinOneShapeClass) {
     ++tunes;
     return fg::core::CpuSpmmSchedule{};
   };
-  fg::core::CpuSpmmSchedule flat;  // empty program
+  fg::core::CpuSpmmSchedule empty;  // empty program
   fg::core::CpuSpmmSchedule blocked;
   blocked.ir = std::make_shared<const fg::core::ScheduleIr>(
       fg::core::ScheduleIr().tile(16).unroll(4));
-  const std::uint64_t h_flat = fg::core::schedule_program_hash(flat);
+  const std::uint64_t h_empty = fg::core::schedule_program_hash(empty);
   const std::uint64_t h_blocked = fg::core::schedule_program_hash(blocked);
-  ASSERT_NE(h_flat, h_blocked);
+  ASSERT_NE(h_empty, h_blocked);
 
-  cache.schedule_for(1000, 8000, 64, 2, h_flat, tune);
+  cache.schedule_for(1000, 8000, 64, 2, h_empty, tune);
   cache.schedule_for(1000, 8000, 64, 2, h_blocked, tune);
   EXPECT_EQ(tunes, 2);  // one geometric class, two programs -> two misses
   EXPECT_EQ(cache.misses(), 2);
   // Each program then hits its own entry.
-  cache.schedule_for(1010, 8100, 64, 2, h_flat, tune);
+  cache.schedule_for(1010, 8100, 64, 2, h_empty, tune);
   cache.schedule_for(1010, 8100, 64, 2, h_blocked, tune);
   EXPECT_EQ(tunes, 2);
   EXPECT_EQ(cache.hits(), 2);
@@ -277,9 +320,9 @@ TEST(Pipeline, ConcurrentTunersKeepFirstScheduleAndOneMiss) {
       threads.emplace_back([&cache, &got, t] {
         got[static_cast<std::size_t>(t)] =
             cache.schedule_for(1000, 8000, 64, 2, 0, [t] {
-              fg::core::CpuSpmmSchedule s;
-              s.feat_tile = 8 << t;  // every racer tunes a distinct result
-              return s;
+              // Every racer tunes a distinct result.
+              return fg::core::spmm_schedule(
+                  fg::core::ScheduleIr().tile(std::int64_t{8} << t));
             });
       });
     }
@@ -287,14 +330,14 @@ TEST(Pipeline, ConcurrentTunersKeepFirstScheduleAndOneMiss) {
     EXPECT_EQ(cache.misses(), 1) << "round " << round;
     EXPECT_EQ(cache.hits() + cache.misses(), kThreads) << "round " << round;
     for (int t = 1; t < kThreads; ++t)
-      EXPECT_EQ(got[static_cast<std::size_t>(t)].feat_tile, got[0].feat_tile)
+      EXPECT_EQ(got[static_cast<std::size_t>(t)].ir, got[0].ir)
           << "round " << round << ": racer " << t
           << " saw a different schedule than the first inserter's";
     // The winner's schedule stays: a later lookup still returns it.
     EXPECT_EQ(cache.schedule_for(1000, 8000, 64, 2, 0,
                                  [] { return fg::core::CpuSpmmSchedule{}; })
-                  .feat_tile,
-              got[0].feat_tile);
+                  .ir,
+              got[0].ir);
   }
 }
 

@@ -9,6 +9,7 @@
 #include "core/simd.hpp"
 #include "core/spmm.hpp"
 #include "graph/generators.hpp"
+#include "grid_schedule.hpp"
 #include "tensor/ops.hpp"
 
 namespace fg = featgraph;
@@ -16,6 +17,7 @@ using fg::core::CpuSpmmSchedule;
 using fg::graph::Coo;
 using fg::graph::Csr;
 using fg::tensor::Tensor;
+using fg::testing::grid_schedule;
 
 namespace {
 
@@ -94,12 +96,12 @@ TEST_P(PropertyTest, UAddVEqualsCopyUPlusDegreeScaledDst) {
 
 TEST_P(PropertyTest, ScheduleAndBackendNeverChangeResults) {
   // The paper's central correctness property extended to the new knobs: for
-  // any schedule (partitions x tile x threads x load_balance) and either
+  // any schedule (partitions x tile x threads x row split) and either
   // SIMD backend, results are bit-for-bit identical — schedules move work,
   // never arithmetic.
   const fg::core::SpmmOperands ops{&x_, nullptr, nullptr};
-  CpuSpmmSchedule ref_sched;
-  ref_sched.load_balance = fg::core::LoadBalance::kStaticRows;
+  const CpuSpmmSchedule ref_sched =
+      grid_schedule(1, 0, 1, fg::core::LoadBalance::kStaticRows);
   Tensor ref;
   {
     fg::simd::ScopedIsa pin(fg::simd::Isa::kScalar);
@@ -113,11 +115,9 @@ TEST_P(PropertyTest, ScheduleAndBackendNeverChangeResults) {
     for (int parts : {1, 4}) {
       for (auto lb : {fg::core::LoadBalance::kStaticRows,
                       fg::core::LoadBalance::kNnzBalanced}) {
-        CpuSpmmSchedule sched;
-        sched.num_partitions = parts;
-        sched.feat_tile = 5;
-        sched.num_threads = 3;
-        sched.load_balance = lb;
+        // tile(8) is legal on every backend and leaves a ragged 4-wide
+        // last tile of the 12 features.
+        const CpuSpmmSchedule sched = grid_schedule(parts, 8, 3, lb);
         const Tensor got = fg::core::spmm(in_, "copy_u", "sum", sched, ops);
         // Partitioning reorders the per-row edge visits, which reassociates
         // the sum; unpartitioned schedules must stay bit-exact, partitioned
@@ -231,10 +231,7 @@ TEST_P(PropertyTest, AttentionScheduleNeverChangesAlpha) {
   for (int parts : {1, 4}) {
     for (auto lb : {fg::core::LoadBalance::kStaticRows,
                     fg::core::LoadBalance::kNnzBalanced}) {
-      CpuSpmmSchedule sched;
-      sched.num_partitions = parts;
-      sched.num_threads = 3;
-      sched.load_balance = lb;
+      const CpuSpmmSchedule sched = grid_schedule(parts, 0, 3, lb);
       const fg::core::AttentionResult r =
           fg::core::attention(in_, "copy_u", sched, ops);
       if (!ref.defined()) {

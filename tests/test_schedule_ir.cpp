@@ -1,9 +1,11 @@
 // Composable loop-nest Schedule-IR (core/schedule_ir.hpp): builder +
 // describe(), legality diagnostics (string-returning validator so the error
-// TEXT is testable), lowering semantics (empty program == flat fast path,
-// programs authoritative over flat knobs), program hashing, and the tuner
+// TEXT is testable), lowering semantics (null / empty program == the
+// default plan, every transform lowered), program hashing, the tuner
 // seeding contract — the first candidate / first seed point of both widened
-// tuners reproduces the default schedule bit-for-bit.
+// tuners is the empty program — and the legality property: every schedule
+// the heuristic, the paper grid and the paper-grid climber produce is legal
+// on every backend.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -147,32 +149,28 @@ TEST(ScheduleIr, SddmmValidatorAcceptsOnlyTileAndChunk) {
             std::string::npos);
 }
 
-TEST(ScheduleIr, EmptyProgramLowersToFlatFastPath) {
-  // Null IR and empty IR both pass the flat knobs through untouched and
-  // stay on the pre-IR fast path.
-  CpuSpmmSchedule flat;
-  flat.feat_tile = 32;
-  flat.num_partitions = 4;
-  flat.num_threads = 3;
-  flat.load_balance = LoadBalance::kStaticRows;
+TEST(ScheduleIr, EmptyProgramLowersToDefaultPlan) {
+  // Null IR and empty IR both lower to the default nest: one partition,
+  // whole feature vector, nnz-balanced, no chunking or blocking.
   for (const bool attach_empty : {false, true}) {
-    CpuSpmmSchedule s = flat;
+    CpuSpmmSchedule s;
+    s.num_threads = 3;
     if (attach_empty) s.ir = std::make_shared<const ScheduleIr>();
     const LoweredSpmmPlan plan =
         fg::core::lower_spmm_schedule(s, kRows, kD, Isa::kScalar);
-    EXPECT_FALSE(plan.needs_interpreter());
-    EXPECT_EQ(plan.feat_tile, 32);
-    EXPECT_EQ(plan.num_partitions, 4);
+    EXPECT_EQ(plan.feat_tile, 0);
+    EXPECT_EQ(plan.tile_for(kD, -1), kD);
+    EXPECT_EQ(plan.row_chunk, 0);
+    EXPECT_EQ(plan.num_partitions, 1);
     EXPECT_EQ(plan.num_threads, 3);
-    EXPECT_EQ(plan.load_balance, LoadBalance::kStaticRows);
+    EXPECT_EQ(plan.load_balance, LoadBalance::kNnzBalanced);
     EXPECT_FALSE(plan.register_block);
+    EXPECT_EQ(fg::core::schedule_num_partitions(s), 1);
   }
 }
 
-TEST(ScheduleIr, ProgramIsAuthoritativeOverFlatKnobs) {
+TEST(ScheduleIr, ProgramLowersEveryTransform) {
   CpuSpmmSchedule s;
-  s.feat_tile = 128;  // ignored: the program decides
-  s.num_partitions = 16;
   s.num_threads = 2;
   s.ir = std::make_shared<const ScheduleIr>(ScheduleIr()
                                                 .chunk(256)
@@ -183,14 +181,13 @@ TEST(ScheduleIr, ProgramIsAuthoritativeOverFlatKnobs) {
                                                     LoadBalance::kStaticRows));
   const LoweredSpmmPlan plan =
       fg::core::lower_spmm_schedule(s, kRows, kD, Isa::kScalar);
-  EXPECT_TRUE(plan.needs_interpreter());
   EXPECT_EQ(plan.row_chunk, 256);
   EXPECT_EQ(plan.feat_tile, 32);
   EXPECT_EQ(plan.unroll, 4);
   EXPECT_TRUE(plan.register_block);
   EXPECT_EQ(plan.num_partitions, 2);
   EXPECT_EQ(plan.load_balance, LoadBalance::kStaticRows);
-  EXPECT_EQ(plan.num_threads, 2);  // the one flat knob programs never own
+  EXPECT_EQ(plan.num_threads, 2);  // the one field programs never own
   EXPECT_EQ(fg::core::schedule_num_partitions(s), 2);
 
   // Per-partition overrides resolve through tile_for / max_tile.
@@ -199,7 +196,6 @@ TEST(ScheduleIr, ProgramIsAuthoritativeOverFlatKnobs) {
       ScheduleIr().partition(4).tile(16).override_partition(2, 64));
   const LoweredSpmmPlan oplan =
       fg::core::lower_spmm_schedule(o, kRows, kD, Isa::kScalar);
-  EXPECT_TRUE(oplan.needs_interpreter());
   EXPECT_EQ(oplan.tile_for(kD, 0), 16);
   EXPECT_EQ(oplan.tile_for(kD, 2), 64);
   EXPECT_EQ(oplan.tile_for(kD, -1), 16);
@@ -207,16 +203,13 @@ TEST(ScheduleIr, ProgramIsAuthoritativeOverFlatKnobs) {
 }
 
 TEST(ScheduleIr, ProgramHashTracksProgramNotThreads) {
-  // Flat knobs and their IR spelling hash identically (the thin-view
-  // contract); distinct programs hash apart; num_threads never matters.
-  CpuSpmmSchedule flat;
-  flat.feat_tile = 32;
-  flat.num_partitions = 4;
-  CpuSpmmSchedule spelled;
-  spelled.ir = std::make_shared<const ScheduleIr>(
-      ScheduleIr().partition(4).tile(32));
-  EXPECT_EQ(fg::core::schedule_program_hash(flat),
-            fg::core::schedule_program_hash(spelled));
+  // Null and empty programs hash identically (both spell the default
+  // nest); distinct programs hash apart; num_threads never matters.
+  CpuSpmmSchedule empty;
+  empty.ir = std::make_shared<const ScheduleIr>();
+  EXPECT_EQ(fg::core::schedule_program_hash(CpuSpmmSchedule{}),
+            fg::core::schedule_program_hash(empty));
+  EXPECT_EQ(fg::core::spmm_schedule(ScheduleIr()).ir, nullptr);
 
   CpuSpmmSchedule a, b;
   a.num_threads = 1;
@@ -239,11 +232,8 @@ TEST(ScheduleIr, ProgramHashTracksProgramNotThreads) {
 TEST(ScheduleIr, GridTunerFirstCandidateIsTheDefaultSchedule) {
   const auto grid = fg::core::default_spmm_ir_candidates(kD, kRows, 1);
   ASSERT_GT(grid.size(), 4u);
-  // Candidate #0: no program — lowers to the flat fast path, i.e. the
-  // untuned default schedule bit-for-bit.
+  // Candidate #0: no program — the untuned default nest.
   EXPECT_EQ(grid[0].ir, nullptr);
-  EXPECT_EQ(grid[0].feat_tile, 0);
-  EXPECT_EQ(grid[0].num_partitions, 1);
   // Every other candidate carries a LEGAL program for the active backend.
   const Isa isa = fg::simd::active_isa();
   bool any_blocked = false;
@@ -265,7 +255,7 @@ TEST(ScheduleIr, SmartTunerFirstSeedIsTheDefaultSchedule) {
       kD, kRows, 1,
       [&](const CpuSpmmSchedule& s) {
         measured.push_back(s);
-        return 1.0;  // flat cost surface: the seed point stays the winner
+        return 1.0;  // constant cost surface: the seed point stays the winner
       },
       opts);
   ASSERT_FALSE(measured.empty());
@@ -282,6 +272,83 @@ TEST(ScheduleIr, SmartTunerFirstSeedIsTheDefaultSchedule) {
           << s.ir->describe();
     }
   }
+}
+
+TEST(ScheduleIr, WithoutDropsEveryTransformOfOneKind) {
+  const ScheduleIr ir = ScheduleIr()
+                            .partition(4)
+                            .tile(16)
+                            .override_partition(1, 8)
+                            .override_partition(2, 32)
+                            .chunk(64);
+  EXPECT_EQ(ir.without(fg::core::IrTransformKind::kPartition).describe(),
+            "tile(16).override_partition(1, 8).override_partition(2, 32)."
+            "chunk(64)");
+  EXPECT_EQ(
+      ir.without(fg::core::IrTransformKind::kOverridePartition).describe(),
+      "partition(4).tile(16).chunk(64)");
+  EXPECT_EQ(ir.describe(), "partition(4).tile(16).override_partition(1, 8)."
+                           "override_partition(2, 32).chunk(64)");
+  EXPECT_TRUE(ScheduleIr().chunk(8).without(
+      fg::core::IrTransformKind::kChunkRows).empty());
+}
+
+TEST(ScheduleIr, DefaultSchedulesAreLegalForEveryWidthAndBackend) {
+  // Lowering validates every launch, so one illegal default program would
+  // abort every model: the heuristic, every paper-grid candidate and every
+  // lattice point the paper-grid climber measures must be legal for every
+  // d_out in 1..256, on every backend, at every graph size — including
+  // sources wide enough that the heuristic partitions (> 12.5 MB of
+  // 64-wide source tiles).
+  for (const fg::graph::vid_t num_cols : {16, 60000, 1000000}) {
+    fg::graph::Csr adj;
+    adj.num_rows = 16;
+    adj.num_cols = num_cols;
+    adj.indptr.assign(17, 0);
+    for (const Isa isa : fg::simd::supported_isas()) {
+      fg::simd::ScopedIsa pin(isa);
+      for (std::int64_t d = 1; d <= 256; ++d) {
+        const auto legal = [&](const CpuSpmmSchedule& s, const char* what) {
+          if (s.ir == nullptr) return;
+          EXPECT_EQ(fg::core::validate_spmm_ir(*s.ir, adj.num_rows, d, isa),
+                    "")
+              << what << " d=" << d << " cols=" << num_cols
+              << " isa=" << fg::simd::isa_name(isa) << ": "
+              << s.ir->describe();
+        };
+        for (const int threads : {1, 4}) {
+          legal(fg::core::heuristic_spmm_schedule(adj, d, threads),
+                "heuristic");
+          for (const auto& s : fg::core::default_spmm_candidates(d, threads))
+            legal(s, "paper grid");
+        }
+        if (num_cols != 16) continue;  // the climber never sees the graph
+        fg::core::SmartTuneOptions opts;
+        opts.max_trials = 64;
+        opts.num_seeds = 4;
+        std::uint64_t cost = static_cast<std::uint64_t>(d);
+        (void)fg::core::smart_tune_spmm(
+            d, 4,
+            [&](const CpuSpmmSchedule& s) {
+              legal(s, "smart_tune_spmm");
+              // A bumpy surface so the climber wanders the lattice.
+              cost = cost * 6364136223846793005ull + 1442695040888963407ull;
+              return static_cast<double>(cost >> 40);
+            },
+            opts);
+      }
+    }
+  }
+  // The heuristic partitions only where the source tiles overflow the
+  // budget, and tiles only above 64 features.
+  fg::graph::Csr wide;
+  wide.num_rows = 1;
+  wide.num_cols = 1000000;
+  wide.indptr.assign(2, 0);
+  EXPECT_EQ(fg::core::heuristic_spmm_schedule(wide, 128, 1).ir->describe(),
+            "partition(32).tile(64)");
+  wide.num_cols = 16;
+  EXPECT_EQ(fg::core::heuristic_spmm_schedule(wide, 64, 1).ir, nullptr);
 }
 
 TEST(ScheduleIr, IllegalProgramAtLaunchAborts) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
+#include "core/schedule_ir.hpp"
 #include "core/sddmm.hpp"
 #include "graph/generators.hpp"
 #include "reference.hpp"
@@ -39,10 +41,26 @@ struct SddmmCase {
 
 class SddmmSweep : public ::testing::TestWithParam<SddmmCase> {};
 
+namespace {
+
+/// The case's schedule for a launch with `reduce_len`-wide dots: tile(W)
+/// only where it is legal (W <= reduce_len); wider cases run untiled.
+CpuSddmmSchedule schedule_for(const SddmmCase& p, std::int64_t reduce_len) {
+  CpuSddmmSchedule s;
+  s.hilbert_order = p.hilbert;
+  s.num_threads = p.threads;
+  if (p.reduce_tile > 0 && p.reduce_tile <= reduce_len)
+    s.ir = std::make_shared<const fg::core::ScheduleIr>(
+        fg::core::ScheduleIr().tile(p.reduce_tile));
+  return s;
+}
+
+}  // namespace
+
 TEST_P(SddmmSweep, DotMatchesReference) {
   const auto p = GetParam();
   Fixture f(150, 6.0, 16, 4, /*seed=*/50);
-  CpuSddmmSchedule sched{p.reduce_tile, p.hilbert, p.threads};
+  const CpuSddmmSchedule sched = schedule_for(p, 16);
   const Tensor got = fg::core::sddmm(f.coo, "dot", sched, {&f.x, nullptr});
   const Tensor want = reference_sddmm(
       f.coo,
@@ -60,7 +78,7 @@ TEST_P(SddmmSweep, DotMatchesReference) {
 TEST_P(SddmmSweep, MultiHeadDotMatchesReference) {
   const auto p = GetParam();
   Fixture f(150, 6.0, 16, 4, /*seed=*/60);
-  CpuSddmmSchedule sched{p.reduce_tile, p.hilbert, p.threads};
+  const CpuSddmmSchedule sched = schedule_for(p, 16 / 4);
   const Tensor got =
       fg::core::sddmm(f.coo, "multihead_dot", sched, {&f.x3, nullptr});
   const std::int64_t hd = 4;
@@ -138,6 +156,14 @@ TEST(Sddmm, GenericEdgeFnMatchesBuiltin) {
   const Tensor generic = fg::core::sddmm_generic(f.coo, fn, 1, {});
   const Tensor builtin = fg::core::sddmm(f.coo, "dot", {}, {&f.x, nullptr});
   EXPECT_LT(fg::tensor::max_abs_diff(generic, builtin), 1e-4f);
+  // A blackbox UDF has no visible reduce axis: a builtin-shaped program's
+  // reduce tile is dropped (it would exceed the length-1 axis), its edge
+  // chunking kept — same edges, same order, bit-identical.
+  CpuSddmmSchedule tiled;
+  tiled.ir = std::make_shared<const fg::core::ScheduleIr>(
+      fg::core::ScheduleIr().tile(8).chunk(64));
+  const Tensor chunked = fg::core::sddmm_generic(f.coo, fn, 1, tiled);
+  EXPECT_EQ(fg::tensor::max_abs_diff(chunked, generic), 0.0f);
 }
 
 TEST(Sddmm, GenericEdgeFnArbitraryComputation) {

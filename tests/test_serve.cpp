@@ -216,7 +216,7 @@ TEST(Serve, CoalescedMatchesSoloBitForBitPerIsa) {
   // after scatter-back, equals each request served alone BIT-FOR-BIT — per
   // ISA, with the feature cache on and off, for sampled AND full fanouts,
   // for GCN and GraphSage. Rests on per-vertex sampler streams, the shared
-  // rng_stream, and num_partitions == 1 on the serving path.
+  // rng_stream, and no partition transform on the serving path.
   const auto data = fg::minidgl::make_sbm_classification(
       /*n=*/400, /*avg_degree=*/9.0, /*num_classes=*/4, /*p_in=*/0.9,
       /*feat_dim=*/16, /*signal=*/2.0f, /*seed=*/21);

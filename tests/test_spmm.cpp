@@ -8,6 +8,7 @@
 #include "core/simd.hpp"
 #include "core/spmm.hpp"
 #include "graph/generators.hpp"
+#include "grid_schedule.hpp"
 #include "reference.hpp"
 
 namespace fg = featgraph;
@@ -16,6 +17,7 @@ using fg::core::SpmmOperands;
 using fg::graph::Coo;
 using fg::graph::Csr;
 using fg::tensor::Tensor;
+using fg::testing::grid_schedule;
 using fg::testing::reference_spmm;
 
 namespace {
@@ -120,10 +122,7 @@ class SpmmSweep : public ::testing::TestWithParam<SpmmCase> {};
 TEST_P(SpmmSweep, MatchesReference) {
   const auto p = GetParam();
   Fixture f(200, 6.0, 16, 8, /*seed=*/100);
-  CpuSpmmSchedule sched;
-  sched.num_partitions = p.partitions;
-  sched.feat_tile = p.tile;
-  sched.num_threads = p.threads;
+  const CpuSpmmSchedule sched = grid_schedule(p.partitions, p.tile, p.threads);
 
   const Tensor got = fg::core::spmm(f.in_csr, p.msg_op, p.reduce_op, sched,
                                     operands_for(p.msg_op, f));
@@ -143,7 +142,7 @@ std::vector<SpmmCase> make_sweep() {
                            "u_mul_e", "mlp"};
   const char* reduce_ops[] = {"sum", "max", "min", "mean"};
   const std::pair<int, std::int64_t> schedules[] = {
-      {1, 0}, {4, 0}, {1, 8}, {4, 8}, {7, 5}};
+      {1, 0}, {4, 0}, {1, 8}, {4, 8}, {7, 8}};
   for (const char* m : msg_ops)
     for (const char* r : reduce_ops)
       for (auto [parts, tile] : schedules)
@@ -243,14 +242,11 @@ TEST(Spmm, ScheduleInvarianceOnSkewedGraph) {
   const Tensor base =
       fg::core::spmm(in, "copy_u", "sum", {}, {&x, nullptr, nullptr});
   for (int parts : {2, 8, 32}) {
-    for (std::int64_t tile : {std::int64_t{0}, std::int64_t{7}}) {
+    // Tile 16 leaves a ragged 8-wide last tile of the 24 features.
+    for (std::int64_t tile : {std::int64_t{0}, std::int64_t{16}}) {
       for (auto lb : {fg::core::LoadBalance::kStaticRows,
                       fg::core::LoadBalance::kNnzBalanced}) {
-        CpuSpmmSchedule sched;
-        sched.num_partitions = parts;
-        sched.feat_tile = tile;
-        sched.num_threads = 2;
-        sched.load_balance = lb;
+        const CpuSpmmSchedule sched = grid_schedule(parts, tile, 2, lb);
         const Tensor got =
             fg::core::spmm(in, "copy_u", "sum", sched, {&x, nullptr, nullptr});
         EXPECT_LT(fg::tensor::max_abs_diff(got, base), 1e-4f)
@@ -284,22 +280,20 @@ TEST_P(SimdParitySweep, ScalarAndSimdBackendsBitEqual) {
   // d=13 exercises the vector tail; at avg degree 4 a few percent of the
   // 230 rows draw no in-edges, so the empty-row fill path runs too.
   Fixture f(230, 4.0, 13, 11, /*seed=*/4200);
-  CpuSpmmSchedule sched;
-  sched.num_partitions = p.partitions;
-  sched.feat_tile = p.tile;
-  sched.num_threads = p.threads;
 
   Tensor scalar_out, simd_out;
   {
     fg::simd::ScopedIsa pin(fg::simd::Isa::kScalar);
-    sched.load_balance = fg::core::LoadBalance::kStaticRows;
-    scalar_out = fg::core::spmm(f.in_csr, p.msg_op, p.reduce_op, sched,
-                                operands_for(p.msg_op, f));
+    scalar_out = fg::core::spmm(
+        f.in_csr, p.msg_op, p.reduce_op,
+        grid_schedule(p.partitions, p.tile, p.threads,
+                      fg::core::LoadBalance::kStaticRows),
+        operands_for(p.msg_op, f));
   }
   {
     fg::simd::ScopedIsa pin(fg::simd::Isa::kAvx2);
-    sched.load_balance = fg::core::LoadBalance::kNnzBalanced;
-    simd_out = fg::core::spmm(f.in_csr, p.msg_op, p.reduce_op, sched,
+    simd_out = fg::core::spmm(f.in_csr, p.msg_op, p.reduce_op,
+                              grid_schedule(p.partitions, p.tile, p.threads),
                               operands_for(p.msg_op, f));
   }
   EXPECT_TRUE(bit_equal(scalar_out, simd_out))
@@ -335,7 +329,7 @@ TEST(Spmm, EmptyRowsBitEqualAcrossBackends) {
 }
 
 TEST(Spmm, NnzBalancedMatchesStaticOnPowerLawGraph) {
-  // The load_balance knob must never change results, only thread boundaries
+  // The row-split policy must never change results, only thread boundaries
   // — checked on the degree distribution it exists for.
   const Coo coo = fg::graph::gen_lognormal(400, 8.0, 1.5, 4300);
   const Csr in = fg::graph::coo_to_in_csr(coo);
@@ -343,10 +337,9 @@ TEST(Spmm, NnzBalancedMatchesStaticOnPowerLawGraph) {
   for (const char* op : {"copy_u", "u_mul_v"}) {
     for (const char* red : {"sum", "max", "mean"}) {
       for (int threads : {1, 2, 4, 7}) {
-        CpuSpmmSchedule stat, nnz;
-        stat.num_threads = nnz.num_threads = threads;
-        stat.load_balance = fg::core::LoadBalance::kStaticRows;
-        nnz.load_balance = fg::core::LoadBalance::kNnzBalanced;
+        const CpuSpmmSchedule stat = grid_schedule(
+            1, 0, threads, fg::core::LoadBalance::kStaticRows);
+        const CpuSpmmSchedule nnz = grid_schedule(1, 0, threads);
         const Tensor a =
             fg::core::spmm(in, op, red, stat, {&x, nullptr, nullptr});
         const Tensor b =
@@ -377,9 +370,7 @@ TEST(Spmm, GenericUdfMatchesBuiltin) {
   fg::core::GenericMsgFn msg = [&](auto u, auto, auto, float* out) {
     for (std::int64_t j = 0; j < 12; ++j) out[j] = f.x.at(u, j);
   };
-  CpuSpmmSchedule sched;
-  sched.num_partitions = 4;
-  sched.num_threads = 2;
+  const CpuSpmmSchedule sched = grid_schedule(4, 0, 2);
   const Tensor generic = fg::core::spmm_generic(f.in_csr, msg, "sum", 12, sched);
   const Tensor builtin =
       fg::core::spmm(f.in_csr, "copy_u", "sum", sched, {&f.x, nullptr, nullptr});
@@ -438,8 +429,7 @@ TEST(Spmm, PartitionCacheSurvivesAddressRecycling) {
     const auto coo = fg::graph::gen_uniform(300 + round * 50, 8.0, 42 + round);
     const Csr in = fg::graph::coo_to_in_csr(coo);
     Tensor x = Tensor::randn({in.num_cols, 16}, 43 + round);
-    CpuSpmmSchedule sched;
-    sched.num_partitions = 8;
+    const CpuSpmmSchedule sched = grid_schedule(8, 0);
     const Tensor partitioned =
         fg::core::spmm(in, "copy_u", "sum", sched, {&x, nullptr, nullptr});
     const Tensor plain =

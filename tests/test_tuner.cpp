@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include "core/schedule_ir.hpp"
 #include "core/smart_tuner.hpp"
 #include "core/tuner.hpp"
 #include "graph/generators.hpp"
+#include "grid_schedule.hpp"
+#include "obs/metrics.hpp"
 
 namespace fg = featgraph;
 using fg::core::CpuSpmmSchedule;
 using fg::graph::Csr;
+using fg::testing::grid_schedule;
 using fg::tensor::Tensor;
 
 namespace {
@@ -17,6 +21,21 @@ struct Fixture {
   Tensor x = Tensor::randn({800, 32}, 1001);
 };
 
+/// The lowered loop-nest decisions of `s` for a `d_out`-wide launch.
+fg::core::LoweredSpmmPlan plan_of(const CpuSpmmSchedule& s,
+                                  std::int64_t d_out) {
+  return fg::core::lower_spmm_schedule(s, 1 << 20, d_out,
+                                       fg::simd::active_isa());
+}
+
+std::uint64_t program_of(const CpuSpmmSchedule& s) {
+  return fg::core::schedule_program_hash(s);
+}
+
+std::int64_t counter(const char* name) {
+  return fg::obs::Registry::global().counter(name).value();
+}
+
 }  // namespace
 
 TEST(Tuner, DefaultGridCoversPartitionTileAndBalanceAxes) {
@@ -26,14 +45,15 @@ TEST(Tuner, DefaultGridCoversPartitionTileAndBalanceAxes) {
   bool has_untiled = false, has_tiled = false;
   bool has_static = false, has_nnz = false;
   for (const auto& s : grid) {
-    has_unpartitioned |= s.num_partitions == 1;
-    has_partitioned |= s.num_partitions > 1;
-    has_untiled |= s.feat_tile == 0;
-    has_tiled |= s.feat_tile > 0;
-    has_static |= s.load_balance == fg::core::LoadBalance::kStaticRows;
-    has_nnz |= s.load_balance == fg::core::LoadBalance::kNnzBalanced;
+    const auto p = plan_of(s, 128);
+    has_unpartitioned |= p.num_partitions == 1;
+    has_partitioned |= p.num_partitions > 1;
+    has_untiled |= p.feat_tile == 0;
+    has_tiled |= p.feat_tile > 0;
+    has_static |= p.load_balance == fg::core::LoadBalance::kStaticRows;
+    has_nnz |= p.load_balance == fg::core::LoadBalance::kNnzBalanced;
     EXPECT_EQ(s.num_threads, 2);
-    EXPECT_LE(s.feat_tile, 128);
+    EXPECT_LE(p.feat_tile, 128);
   }
   EXPECT_TRUE(has_unpartitioned && has_partitioned && has_untiled && has_tiled);
   EXPECT_TRUE(has_static && has_nnz);
@@ -43,22 +63,19 @@ TEST(Tuner, SingleThreadGridSkipsRedundantBalanceAxis) {
   // At one thread both row-split policies run the identical sweep; the grid
   // should not double itself for nothing.
   for (const auto& s : fg::core::default_spmm_candidates(128, 1))
-    EXPECT_EQ(s.load_balance, fg::core::LoadBalance::kNnzBalanced);
+    EXPECT_EQ(plan_of(s, 128).load_balance,
+              fg::core::LoadBalance::kNnzBalanced);
 }
 
 TEST(Tuner, GridRespectsSmallFeatureLengths) {
   for (const auto& s : fg::core::default_spmm_candidates(8, 1))
-    EXPECT_LE(s.feat_tile, 8);
+    EXPECT_LE(plan_of(s, 8).feat_tile, 8);
 }
 
 TEST(Tuner, ReturnsBestTrial) {
   Fixture f;
-  std::vector<CpuSpmmSchedule> cands;
-  for (int parts : {1, 4}) {
-    CpuSpmmSchedule s;
-    s.num_partitions = parts;
-    cands.push_back(s);
-  }
+  const std::vector<CpuSpmmSchedule> cands = {grid_schedule(1, 0),
+                                              grid_schedule(4, 0)};
   const auto result = fg::core::tune_spmm(f.in_csr, "copy_u", "sum",
                                           {&f.x, nullptr, nullptr}, cands);
   ASSERT_EQ(result.trials.size(), 2u);
@@ -73,8 +90,7 @@ TEST(Tuner, CachedScheduleIsStable) {
                                                 {&f.x, nullptr, nullptr}, 1);
   const auto s2 = fg::core::tuned_spmm_schedule(f.in_csr, "copy_u", "sum",
                                                 {&f.x, nullptr, nullptr}, 1);
-  EXPECT_EQ(s1.num_partitions, s2.num_partitions);
-  EXPECT_EQ(s1.feat_tile, s2.feat_tile);
+  EXPECT_EQ(program_of(s1), program_of(s2));
   EXPECT_EQ(s1.num_threads, 1);
 }
 
@@ -82,7 +98,7 @@ TEST(Tuner, HeuristicPartitionsGrowWithGraphSize) {
   Fixture f;
   // Tiny source set: one partition suffices.
   const auto small = fg::core::heuristic_spmm_schedule(f.in_csr, 64, 1);
-  EXPECT_EQ(small.num_partitions, 1);
+  EXPECT_EQ(fg::core::schedule_num_partitions(small), 1);
 
   // Fake a huge column count by constructing a wide CSR header.
   Csr wide;
@@ -90,7 +106,7 @@ TEST(Tuner, HeuristicPartitionsGrowWithGraphSize) {
   wide.num_cols = 4 * 1000 * 1000;
   wide.indptr.assign(11, 0);
   const auto big = fg::core::heuristic_spmm_schedule(wide, 512, 1);
-  EXPECT_GT(big.num_partitions, 1);
+  EXPECT_GT(fg::core::schedule_num_partitions(big), 1);
 }
 
 TEST(Tuner, AttentionAxisTunesOverTheSameGrid) {
@@ -100,12 +116,8 @@ TEST(Tuner, AttentionAxisTunesOverTheSameGrid) {
   Fixture f;
   fg::core::AttentionOperands ops;
   ops.src_feat = &f.x;
-  std::vector<CpuSpmmSchedule> cands;
-  for (int parts : {1, 4}) {
-    CpuSpmmSchedule s;
-    s.num_partitions = parts;
-    cands.push_back(s);
-  }
+  const std::vector<CpuSpmmSchedule> cands = {grid_schedule(1, 0),
+                                              grid_schedule(4, 0)};
   const auto result = fg::core::tune_attention(f.in_csr, "copy_u", ops, cands);
   ASSERT_EQ(result.trials.size(), 2u);
   EXPECT_DOUBLE_EQ(
@@ -115,8 +127,7 @@ TEST(Tuner, AttentionAxisTunesOverTheSameGrid) {
 
   const auto s1 = fg::core::tuned_attention_schedule(f.in_csr, "copy_u", ops, 1);
   const auto s2 = fg::core::tuned_attention_schedule(f.in_csr, "copy_u", ops, 1);
-  EXPECT_EQ(s1.num_partitions, s2.num_partitions);
-  EXPECT_EQ(s1.feat_tile, s2.feat_tile);
+  EXPECT_EQ(program_of(s1), program_of(s2));
   EXPECT_EQ(s1.num_threads, 1);
 }
 
@@ -134,7 +145,7 @@ TEST(Tuner, SmartTunerClimbsTheAttentionAxis) {
   EXPECT_LE(result.trials_used, 6);
   EXPECT_GE(result.trials_used, 1);
   EXPECT_GT(result.best_seconds, 0.0);
-  EXPECT_GE(result.best.num_partitions, 1);
+  EXPECT_GE(fg::core::schedule_num_partitions(result.best), 1);
 }
 
 TEST(Tuner, TransfersAcrossFeatureLengthByCacheKey) {
@@ -149,7 +160,56 @@ TEST(Tuner, TransfersAcrossFeatureLengthByCacheKey) {
   // Keys differ, so both entries exist; re-querying returns each unchanged.
   const auto a2 = fg::core::tuned_spmm_schedule(f.in_csr, "copy_u", "sum",
                                                 {&f.x, nullptr, nullptr}, 1);
-  EXPECT_EQ(a.num_partitions, a2.num_partitions);
-  EXPECT_EQ(a.feat_tile, a2.feat_tile);
+  EXPECT_EQ(program_of(a), program_of(a2));
   (void)b;
+}
+
+TEST(Tuner, CopyETuningKeysOnEdgeFeatureWidth) {
+  // copy_e has no source feature: the cache resolves d_out from the edge
+  // feature width, as spmm() dispatches it. One tune per distinct width.
+  Fixture f;
+  const fg::graph::eid_t nnz = f.in_csr.nnz();
+  const Tensor e1 = Tensor::randn({nnz}, 1003);
+  const Tensor e4 = Tensor::randn({nnz, 4}, 1004);
+  const std::int64_t tunes0 = counter("tuner.tune.count");
+  const auto s1 = fg::core::tuned_spmm_schedule(
+      f.in_csr, "copy_e", "sum", {nullptr, &e1, nullptr}, 1);
+  EXPECT_EQ(s1.num_threads, 1);
+  EXPECT_EQ(counter("tuner.tune.count") - tunes0, 1);
+  const Tensor out = fg::core::spmm(f.in_csr, "copy_e", "sum", s1,
+                                    {nullptr, &e1, nullptr});
+  EXPECT_EQ(out.row_size(), 1);
+  // Same width: served from the cache.
+  (void)fg::core::tuned_spmm_schedule(f.in_csr, "copy_e", "sum",
+                                      {nullptr, &e1, nullptr}, 1);
+  EXPECT_EQ(counter("tuner.tune.count") - tunes0, 1);
+  // A second edge width is a new key and re-tunes.
+  (void)fg::core::tuned_spmm_schedule(f.in_csr, "copy_e", "sum",
+                                      {nullptr, &e4, nullptr}, 1);
+  EXPECT_EQ(counter("tuner.tune.count") - tunes0, 2);
+}
+
+TEST(Tuner, GpuAttentionCopyEKeysOnEdgeFeatureWidthAndCountsTrials) {
+  // The gpusim attention cache resolves copy_e's width from the edge
+  // feature, so two edge widths never share one entry, and its grid search
+  // reports tunes and trials like the CPU tuners.
+  Fixture f;
+  const fg::graph::eid_t nnz = f.in_csr.nnz();
+  const Tensor e1 = Tensor::randn({nnz}, 1005);
+  const Tensor e4 = Tensor::randn({nnz, 4}, 1006);
+  fg::core::AttentionOperands ops;
+  ops.src_feat = &f.x;  // dot-product logits
+  ops.edge_feat = &e1;
+  const std::int64_t tunes0 = counter("tuner.tune.count");
+  const std::int64_t trials0 = counter("tuner.trial.count");
+  (void)fg::core::tuned_gpu_attention_schedule(f.in_csr, "copy_e", ops);
+  EXPECT_EQ(counter("tuner.tune.count") - tunes0, 1);
+  EXPECT_EQ(counter("tuner.trial.count") - trials0,
+            static_cast<std::int64_t>(
+                fg::core::default_gpu_attention_candidates().size()));
+  (void)fg::core::tuned_gpu_attention_schedule(f.in_csr, "copy_e", ops);
+  EXPECT_EQ(counter("tuner.tune.count") - tunes0, 1);
+  ops.edge_feat = &e4;
+  (void)fg::core::tuned_gpu_attention_schedule(f.in_csr, "copy_e", ops);
+  EXPECT_EQ(counter("tuner.tune.count") - tunes0, 2);
 }

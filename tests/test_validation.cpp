@@ -3,6 +3,7 @@
 // state preconditions and check them).
 #include <gtest/gtest.h>
 
+#include "core/schedule_ir.hpp"
 #include "core/sddmm.hpp"
 #include "core/spmm.hpp"
 #include "graph/generators.hpp"
@@ -111,24 +112,11 @@ TEST(Validation, PartitionCountLargerThanColumns) {
   const Coo coo = fg::graph::gen_uniform(6, 2.0, 6);
   const Csr in = fg::graph::coo_to_in_csr(coo);
   Tensor x = Tensor::randn({6, 4}, 7);
-  fg::core::CpuSpmmSchedule sched;
-  sched.num_partitions = 50;
+  const fg::core::CpuSpmmSchedule sched =
+      fg::core::spmm_schedule(fg::core::ScheduleIr().partition(50));
   const Tensor a =
       fg::core::spmm(in, "copy_u", "sum", sched, {&x, nullptr, nullptr});
   const Tensor b =
       fg::core::spmm(in, "copy_u", "sum", {}, {&x, nullptr, nullptr});
-  EXPECT_LT(fg::tensor::max_abs_diff(a, b), 1e-5f);
-}
-
-TEST(Validation, FeatureTileLargerThanWidth) {
-  const Coo coo = fg::graph::gen_uniform(20, 3.0, 8);
-  const Csr in = fg::graph::coo_to_in_csr(coo);
-  Tensor x = Tensor::randn({20, 4}, 9);
-  fg::core::CpuSpmmSchedule sched;
-  sched.feat_tile = 1000;  // clamped to the feature width
-  const Tensor a =
-      fg::core::spmm(in, "copy_u", "mean", sched, {&x, nullptr, nullptr});
-  const Tensor b =
-      fg::core::spmm(in, "copy_u", "mean", {}, {&x, nullptr, nullptr});
   EXPECT_LT(fg::tensor::max_abs_diff(a, b), 1e-5f);
 }
