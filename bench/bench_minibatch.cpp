@@ -1,12 +1,16 @@
-// Minibatch serving-loop benchmark (ISSUE 5): pipelined vs serial epoch
-// time for GraphSage block inference over an R-MAT graph, plus the
-// shape-class schedule cache's hit rate after warmup. Appends/refreshes the
-// "minibatch_pipeline" section of BENCH_kernels.json (the file
-// bench_micro_kernels seeds), so successive PRs keep one trajectory file.
+// Minibatch serving-loop benchmark: pipelined (T batch lanes, kernels
+// inline) vs serial (one batch at a time, T-thread kernels) epoch time for
+// GraphSage block inference over an SBM graph, T = hardware concurrency,
+// plus the shape-class schedule cache's hit rate after warmup.
+// Appends/refreshes the "minibatch_pipeline" section of BENCH_kernels.json
+// (the file bench_micro_kernels seeds), so successive PRs keep one
+// trajectory file.
 //
 //   $ ./bench_minibatch
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 
 #include "common.hpp"
 #include "minidgl/train.hpp"
@@ -31,7 +35,9 @@ int main() {
               static_cast<long long>(data.graph.num_edges()));
 
   ExecContext ctx;
-  ctx.num_threads = 1;
+  ctx.num_threads =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  std::printf("threads: %d\n", ctx.num_threads);
   Trainer trainer(data, Model("sage-mean", 64, 64, 8, /*seed=*/1), ctx,
                   0.05f);
 
@@ -45,7 +51,6 @@ int main() {
   opts.sampler.fanouts = {10, 10};
   opts.sampler.seed = 3;
   opts.batch_size = 512;
-  opts.queue_capacity = 2;
 
   const int reps = fg::support::bench_reps();
   const auto run = [&](bool pipelined, bool record_cache) {
@@ -98,6 +103,7 @@ int main() {
       "    \"model\": \"sage-mean\",\n"
       "    \"fanouts\": [10, 10],\n"
       "    \"batch_size\": 512,\n"
+      "    \"threads\": %d,\n"
       "    \"batches_per_epoch\": %lld,\n"
       "    \"serial_epoch_sec\": %.6f,\n"
       "    \"pipelined_epoch_sec\": %.6f,\n"
@@ -106,7 +112,8 @@ int main() {
       "    \"schedule_cache_misses\": %lld,\n"
       "    \"schedule_cache_hit_rate\": %.3f\n"
       "  }",
-      data.graph.num_vertices(), static_cast<long long>(piped.batches),
+      data.graph.num_vertices(), ctx.num_threads,
+      static_cast<long long>(piped.batches),
       serial.sec, piped.sec, serial.sec / piped.sec,
       static_cast<long long>(piped.hits),
       static_cast<long long>(piped.misses), hit_rate);

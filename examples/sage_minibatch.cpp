@@ -1,8 +1,8 @@
 // End-to-end minibatch serving with the sampling subsystem: train a
-// GraphSage model full-batch, then serve inference through the pipelined
-// neighbor-sampling loop (src/sample) — sampled fanouts for throughput, and
-// a full-fanout run demonstrating the bit-exactness contract against
-// full-graph inference.
+// GraphSage model full-batch, then serve inference through the
+// batch-parallel neighbor-sampling loop (src/sample) — sampled fanouts for
+// throughput, and a full-fanout run demonstrating the bit-exactness
+// contract against full-graph inference.
 //
 //   $ ./example_sage_minibatch
 #include <cmath>
@@ -35,8 +35,8 @@ int main() {
   std::printf("trained 2-layer GraphSage; full-graph test accuracy %.3f\n\n",
               full_acc);
 
-  // Serving mode: sampled fanouts, batches flowing through the pipelined
-  // loop (sample+gather of batch i+1 overlaps block compute of batch i).
+  // Serving mode: sampled fanouts, one batch per lane on ctx.num_threads
+  // lanes (each lane samples, gathers and computes its own batch).
   MinibatchInferOptions opts;
   opts.sampler.fanouts = {10, 10};
   opts.sampler.seed = 7;
@@ -45,15 +45,14 @@ int main() {
   std::printf(
       "minibatch inference, fanout 10x10, batch 256:\n"
       "  accuracy %.3f (full-graph %.3f)  %.0f ms over %lld batches\n"
-      "  pipeline: overlapped=%s  produce %.0f ms / consume %.0f ms  "
-      "queue depth <= %d\n"
+      "  pipeline: overlapped=%s  produce %.0f ms / consume %.0f ms "
+      "(summed over lanes)\n"
       "  schedule cache: %lld hits / %lld misses\n\n",
       sampled.accuracy, full_acc, sampled.seconds * 1e3,
       static_cast<long long>(sampled.pipeline.batches),
       sampled.pipeline.overlapped ? "yes" : "no",
       sampled.pipeline.produce_seconds * 1e3,
       sampled.pipeline.consume_seconds * 1e3,
-      sampled.pipeline.max_queue_depth,
       static_cast<long long>(sampled.schedule_cache_hits),
       static_cast<long long>(sampled.schedule_cache_misses));
 

@@ -12,7 +12,7 @@
 //   baselines::*                 Ligra-, MKL-, Gunrock-, cuSPARSE-style comparators
 //   minidgl::*                   miniature GNN framework (GCN/GraphSage/GAT)
 //   sample::*                    minibatch neighbor sampling, MFG blocks,
-//                                feature gather, pipelined serving loop
+//                                feature gather, batch-parallel serving loop
 //   serve::*                     multi-tenant front-end: request coalescing,
 //                                admission server, hot-vertex feature cache
 #pragma once

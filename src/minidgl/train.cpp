@@ -1,5 +1,6 @@
 #include "minidgl/train.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "obs/metrics.hpp"
@@ -85,41 +86,49 @@ MinibatchInferResult Trainer::infer_minibatch(
   sample::NeighborSampler sampler(data_->graph.in_csr(), options.sampler);
   sample::PipelineOptions popts;
   popts.batch_size = options.batch_size;
-  popts.queue_capacity = options.queue_capacity;
   popts.pipelined = options.pipelined;
-  popts.gather_threads = ctx_.num_threads;
+  popts.num_threads = ctx_.num_threads;
 
   const std::int64_t num_classes = data_->num_classes;
   result.log_probs =
       tensor::Tensor({static_cast<std::int64_t>(seeds.size()), num_classes});
 
-  // Route the consumer's sparse launches through one shape-class schedule
-  // cache for the whole epoch; restore the context afterwards so full-batch
-  // paths keep their per-launch heuristic.
+  // Route the block launches through one shape-class schedule cache for the
+  // whole epoch. Each batch runs on its own copy of the context, so lanes
+  // share no mutable state; the copies' accounting is merged in batch-index
+  // order below, independent of lane timing.
   sample::BlockScheduleCache schedule_cache;
-  sample::BlockScheduleCache* prev_cache = ctx_.schedule_cache;
-  const bool prev_tune = ctx_.tune_block_schedules;
-  ctx_.schedule_cache = &schedule_cache;
-  ctx_.tune_block_schedules = options.tune_schedules;
+  ExecContext block_ctx = ctx_;
+  block_ctx.schedule_cache = &schedule_cache;
+  block_ctx.tune_block_schedules = options.tune_schedules;
+  const std::int64_t num_batches =
+      (static_cast<std::int64_t>(seeds.size()) + options.batch_size - 1) /
+      options.batch_size;
+  std::vector<ExecContext> batch_ctx(static_cast<std::size_t>(num_batches));
 
-  std::int64_t out_row = 0;
   result.pipeline = sample::run_pipeline(
       sampler, data_->features, seeds, popts,
       [&](sample::PreparedBatch& batch) {
+        ExecContext& ctx = batch_ctx[static_cast<std::size_t>(batch.index)];
+        ctx = block_ctx;
         Var x = make_leaf(std::move(batch.input_feats), false, "block_feats");
-        Var lp = model_.forward(ctx_, batch.blocks, x);
+        Var lp = model_.forward(ctx, batch.blocks, x);
         const tensor::Tensor& v = lp->value();
-        std::memcpy(result.log_probs.row(out_row), v.data(),
+        std::memcpy(result.log_probs.row(batch.index * options.batch_size),
+                    v.data(),
                     static_cast<std::size_t>(v.numel()) * sizeof(float));
-        out_row += v.rows();
       });
 
-  ctx_.schedule_cache = prev_cache;
-  ctx_.tune_block_schedules = prev_tune;
+  for (const ExecContext& acct : batch_ctx) {
+    ctx_.sim_seconds += acct.sim_seconds;
+    ctx_.materialized_bytes += acct.materialized_bytes;
+    ctx_.peak_bytes = std::max(ctx_.peak_bytes, acct.peak_bytes);
+  }
   result.schedule_cache_hits = schedule_cache.hits();
   result.schedule_cache_misses = schedule_cache.misses();
 
-  // Seed rows were consumed in order, so log_probs row i belongs to rows[i].
+  // Batch i wrote rows [i * batch_size, ...), so log_probs row i belongs to
+  // rows[i].
   std::size_t correct = 0;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const float* lp = result.log_probs.row(static_cast<std::int64_t>(i));

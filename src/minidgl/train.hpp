@@ -32,8 +32,9 @@ struct MinibatchInferOptions {
   /// reproduces full-graph inference, bit for bit).
   sample::SamplerConfig sampler{{-1, -1}, false, 1};
   std::int64_t batch_size = 256;
-  int queue_capacity = 2;
-  /// Overlap sampling + gather of batch i+1 with block compute of batch i.
+  /// Run ExecContext::num_threads batches at once, one per lane, kernels
+  /// inline (sample::PipelineOptions); false = one batch at a time with
+  /// threaded kernels. Both write identical bytes.
   bool pipelined = true;
   /// Grid-tune the first block of each shape class (default: O(1)
   /// heuristic). Either way the winner is memoized in the shape-class
@@ -100,9 +101,11 @@ class Trainer {
   EpochResult infer();
 
   /// Minibatch block inference over the seed vertices `rows` (default: the
-  /// test split): neighbor sampling + SIMD feature gather feed the pipelined
-  /// serving loop; each batch runs the model's block forward. GCN and
-  /// GraphSage models only.
+  /// test split): neighbor sampling + SIMD feature gather feed the
+  /// batch-parallel serving loop; each batch runs the model's block forward
+  /// on its own ExecContext copy and writes its fixed output rows, so
+  /// log_probs and the accounting are the same at every lane count. GCN
+  /// and GraphSage models only.
   MinibatchInferResult infer_minibatch(const MinibatchInferOptions& options,
                                        const std::vector<std::int64_t>& rows);
   MinibatchInferResult infer_minibatch(const MinibatchInferOptions& options);

@@ -11,7 +11,7 @@
 //
 // Naming scheme: `subsystem.noun.verb` — e.g. spmm.launch.count,
 // serve.request.admitted, cache.feature.bytes_saved, shard.steal.count.
-// Gauges name the level they report (pipeline.queue.depth); histograms the
+// Gauges name the level they report (lazy.peak_bytes); histograms the
 // quantity they bin (serve.queue_latency.seconds).
 //
 // Snapshots are plain maps; `since(baseline)` diffs two snapshots so a

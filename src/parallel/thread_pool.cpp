@@ -7,6 +7,23 @@
 
 namespace featgraph::parallel {
 
+namespace {
+
+/// Runs one lane and hands back its exception instead of letting it escape:
+/// on a worker an escaping exception would std::terminate the process, and
+/// on the caller it would leave the attached slot claimed.
+std::exception_ptr run_lane(const std::function<void(int, int)>& fn, int lane,
+                            int lanes) noexcept {
+  try {
+    fn(lane, lanes);
+  } catch (...) {
+    return std::current_exception();
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 ThreadPool::ThreadPool(unsigned num_workers) {
   if (num_workers == 0) {
     num_workers = std::thread::hardware_concurrency();
@@ -49,27 +66,8 @@ void ThreadPool::launch(int num_threads, const std::function<void(int, int)>& fn
     for (int tid = 0; tid < num_threads; ++tid) fn(tid, num_threads);
     return;
   }
-  attached_ = Job{&fn, num_threads, 0, num_threads};
+  attached_ = Job{&fn, num_threads, 0, num_threads, {}};
   run_claimed_lanes(lock, fn);
-}
-
-bool ThreadPool::launch_if_idle(int num_threads,
-                                const std::function<void(int, int)>& fn) {
-  FG_CHECK(num_threads >= 1);
-  if (num_threads == 1) {
-    fn(0, 1);
-    return true;
-  }
-  std::unique_lock<std::mutex> lock(mutex_);
-  // Decline under the lock — unlike launch()'s claim-anyway path, the caller
-  // learns its lanes would NOT have run concurrently and takes another path.
-  // Genuine concurrency needs a worker beyond those consumed by unfinished
-  // detached lanes (the caller itself only drives one lane at a time).
-  if (attached_.active()) return false;
-  if (static_cast<int>(workers_.size()) <= detached_unfinished_) return false;
-  attached_ = Job{&fn, num_threads, 0, num_threads};
-  run_claimed_lanes(lock, fn);
-  return true;
 }
 
 bool ThreadPool::launch_detached_if_idle(int num_threads,
@@ -84,8 +82,7 @@ bool ThreadPool::launch_detached_if_idle(int num_threads,
   if (detached_.active() || attached_.active() || workers_.empty())
     return false;
   detached_fn_ = std::make_shared<std::function<void(int, int)>>(std::move(fn));
-  detached_ = Job{detached_fn_.get(), num_threads, 0, num_threads};
-  detached_unfinished_ = num_threads;
+  detached_ = Job{detached_fn_.get(), num_threads, 0, num_threads, {}};
   lock.unlock();
   work_ready_.notify_all();
   return true;
@@ -112,15 +109,20 @@ void ThreadPool::run_claimed_lanes(std::unique_lock<std::mutex>& lock,
     lock.lock();
     if (attached_.next_lane >= attached_.lanes) break;  // keep lock; wait
     const int lane = attached_.next_lane++;
+    const int lanes = attached_.lanes;
     lock.unlock();
-    fn(lane, attached_.lanes);
+    std::exception_ptr error = run_lane(fn, lane, lanes);
     lock.lock();
+    if (error && !attached_.error) attached_.error = std::move(error);
     --attached_.remaining;
     if (attached_.remaining == 0) work_done_.notify_all();
     lock.unlock();
   }
   work_done_.wait(lock, [this] { return attached_.remaining == 0; });
+  const std::exception_ptr error = std::move(attached_.error);
   attached_ = Job{};
+  lock.unlock();
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::worker_loop() {
@@ -141,17 +143,18 @@ void ThreadPool::worker_loop() {
       const auto* fn = job.fn;
       const int lanes = job.lanes;
       lock.unlock();
-      (*fn)(lane, lanes);
+      std::exception_ptr error = run_lane(*fn, lane, lanes);
+      // A detached job has no caller to rethrow to: its lane exception
+      // terminates the process, as it always has.
+      if (error && is_detached) std::rethrow_exception(error);
       lock.lock();
+      if (error && !job.error) job.error = std::move(error);
       --job.remaining;
-      if (is_detached) {
-        --detached_unfinished_;
-        if (job.remaining == 0) {
-          // A detached job has no caller waiting in run_claimed_lanes to
-          // clear the slot — the last lane releases it here.
-          detached_ = Job{};
-          detached_fn_.reset();
-        }
+      if (is_detached && job.remaining == 0) {
+        // A detached job has no caller waiting in run_claimed_lanes to
+        // clear the slot — the last lane releases it here.
+        detached_ = Job{};
+        detached_fn_.reset();
       }
       if (job.remaining == 0) work_done_.notify_all();
     }

@@ -6,6 +6,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -19,8 +20,8 @@ namespace featgraph::parallel {
 /// number of OS workers are multiplexed onto the available workers, so a
 /// launch with num_threads == 8 is functionally correct on a 2-core host.
 ///
-/// Two independent job slots coexist: one ATTACHED slot (launch /
-/// launch_if_idle — the caller participates and blocks until done) and one
+/// Two independent job slots coexist: one ATTACHED slot (launch — the
+/// caller participates and blocks until done) and one
 /// DETACHED slot (launch_detached_if_idle — workers only, may run for a
 /// server's lifetime). Workers prefer attached lanes, so a kernel launched
 /// while a serving lane holds the detached slot still gets every worker the
@@ -44,21 +45,15 @@ class ThreadPool {
   /// DETACHED job does NOT force the inline fallback — the caller claims the
   /// attached slot and drives lanes itself, with any worker not consumed by
   /// a detached lane helping.
+  ///
+  /// A lane that throws does not take the process down: the launch keeps
+  /// the FIRST lane exception, lets every other lane finish, releases the
+  /// slot and rethrows it on the caller. (Inline lanes — num_threads == 1
+  /// or a nested launch — simply propagate, skipping the lanes after the
+  /// throwing one.)
   void launch(int num_threads, const std::function<void(int, int)>& fn);
 
   unsigned num_workers() const { return static_cast<unsigned>(workers_.size()); }
-
-  /// Like launch(), but atomically declines instead of running inline when
-  /// the lanes could NOT run genuinely concurrently: returns false WITHOUT
-  /// executing any lane when the attached slot is claimed OR every worker is
-  /// consumed by unfinished detached lanes (the caller alone cannot overlap
-  /// two lanes in time). For callers that need GENUINE lane concurrency —
-  /// the sampling pipeline's producer/consumer pair, where a producer
-  /// blocking on a bounded queue with no consumer lane running would
-  /// deadlock. The claim happens under the job-slot lock, so there is no
-  /// busy-check/launch race: either this call owns the slot with a free
-  /// worker guaranteed, or the caller takes its fallback.
-  bool launch_if_idle(int num_threads, const std::function<void(int, int)>& fn);
 
   /// The DETACHED slot, the claim discipline the serving front-end's
   /// admission loop uses (src/serve): atomically claims it if free and hands
@@ -94,6 +89,7 @@ class ThreadPool {
     int lanes = 0;      // total logical lanes in this launch
     int next_lane = 0;  // next lane index to hand out
     int remaining = 0;  // lanes not yet completed
+    std::exception_ptr error;  // first lane exception (attached jobs)
     bool active() const { return fn != nullptr; }
     bool pending() const { return fn != nullptr && next_lane < lanes; }
   };
@@ -112,10 +108,6 @@ class ThreadPool {
 
   Job attached_;
   Job detached_;
-  /// Detached lanes not yet finished (pending + running). Workers consumed
-  /// by these are unavailable for attached work — launch_if_idle's
-  /// genuine-concurrency check reads this.
-  int detached_unfinished_ = 0;
   /// The pool owns the detached function (the caller is gone by the time
   /// lanes run); the last finishing lane releases it.
   std::shared_ptr<std::function<void(int, int)>> detached_fn_;

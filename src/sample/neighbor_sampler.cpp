@@ -51,7 +51,7 @@ std::vector<std::int64_t> pick_positions(std::int64_t deg, std::int64_t fanout,
     // Floyd's algorithm: `fanout` DISTINCT positions in [0, deg) with
     // exactly `fanout` uniform draws. Membership is a linear scan of the
     // <= fanout picks so far — fanouts are small and bounded, and this is
-    // the producer lane's hot path, so no per-row hash set allocation.
+    // every pipeline lane's hot path, so no per-row hash set allocation.
     for (std::int64_t j = deg - fanout; j < deg; ++j) {
       const auto t = static_cast<std::int64_t>(
           rng.uniform(static_cast<std::uint64_t>(j) + 1));

@@ -1,10 +1,8 @@
 #include "sample/pipeline.hpp"
 
 #include <algorithm>
-#include <condition_variable>
-#include <deque>
+#include <atomic>
 #include <thread>
-#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -17,76 +15,11 @@ namespace featgraph::sample {
 
 namespace {
 
-/// Live handoff-queue depth, visible to a profile report mid-run. One gauge
-/// for the process: concurrent pipelines blend, which is exactly the load
-/// signal the gauge exists to show.
-obs::Gauge& queue_depth_gauge() {
-  static obs::Gauge& g =
-      obs::Registry::global().gauge("pipeline.queue.depth");
-  return g;
-}
-
-/// Bounded FIFO handoff between the producer and consumer lanes (CP.42
-/// style: every wait has a predicate). close() lets the producer signal
-/// end-of-stream once the last batch is pushed.
-class BatchQueue {
- public:
-  explicit BatchQueue(int capacity) : capacity_(capacity) {
-    FG_CHECK(capacity >= 1);
-  }
-
-  void push(PreparedBatch&& batch) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_full_.wait(lock, [&] {
-      return static_cast<int>(queue_.size()) < capacity_;
-    });
-    queue_.push_back(std::move(batch));
-    if (static_cast<int>(queue_.size()) > max_depth_)
-      max_depth_ = static_cast<int>(queue_.size());
-    queue_depth_gauge().set(static_cast<std::int64_t>(queue_.size()));
-    not_empty_.notify_one();
-  }
-
-  void close() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
-    }
-    not_empty_.notify_all();
-  }
-
-  /// False at end-of-stream (queue drained and closed).
-  bool pop(PreparedBatch& out) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait(lock, [&] { return closed_ || !queue_.empty(); });
-    if (queue_.empty()) return false;
-    out = std::move(queue_.front());
-    queue_.pop_front();
-    queue_depth_gauge().set(static_cast<std::int64_t>(queue_.size()));
-    not_full_.notify_one();
-    return true;
-  }
-
-  int max_depth() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return max_depth_;
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  std::deque<PreparedBatch> queue_;
-  const int capacity_;
-  int max_depth_ = 0;
-  bool closed_ = false;
-};
-
 PreparedBatch produce_batch(const NeighborSampler& sampler,
                             const tensor::Tensor& features,
                             const std::vector<graph::vid_t>& seeds,
                             std::int64_t index, std::int64_t batch_size,
-                            int gather_threads, int sample_threads) {
+                            int num_threads) {
   static obs::Counter& obs_batches =
       obs::Registry::global().counter("pipeline.batch.produced");
   obs_batches.add(1);
@@ -98,21 +31,13 @@ PreparedBatch produce_batch(const NeighborSampler& sampler,
   batch.seeds.assign(seeds.begin() + static_cast<std::ptrdiff_t>(lo),
                      seeds.begin() + static_cast<std::ptrdiff_t>(hi));
   batch.blocks = sampler.sample(batch.seeds, static_cast<std::uint64_t>(index),
-                                sample_threads);
+                                num_threads);
   batch.input_feats =
-      gather_rows(features, batch.blocks.input_nodes(), gather_threads);
+      gather_rows(features, batch.blocks.input_nodes(), num_threads);
   return batch;
 }
 
 }  // namespace
-
-bool pipeline_can_overlap(unsigned hardware_concurrency,
-                          unsigned pool_workers) {
-  // One hardware context: the two lanes would time-slice a single core, so
-  // the queue handoff is pure overhead over the serial loop. No pool
-  // worker: nobody can run the second lane.
-  return hardware_concurrency >= 2 && pool_workers >= 1;
-}
 
 PipelineStats run_pipeline(const NeighborSampler& sampler,
                            const tensor::Tensor& features,
@@ -120,6 +45,7 @@ PipelineStats run_pipeline(const NeighborSampler& sampler,
                            const PipelineOptions& options,
                            const std::function<void(PreparedBatch&)>& consume) {
   FG_CHECK(options.batch_size >= 1);
+  FG_CHECK(options.num_threads >= 1);
   PipelineStats stats;
   const std::int64_t num_batches =
       (static_cast<std::int64_t>(seeds.size()) + options.batch_size - 1) /
@@ -128,78 +54,56 @@ PipelineStats run_pipeline(const NeighborSampler& sampler,
   if (num_batches == 0) return stats;
   support::Timer total;
 
-  // The 2-lane overlap needs GENUINE lane concurrency: a producer blocking
-  // on a full queue no consumer lane is draining would deadlock. So the
-  // overlap only runs if (a) the host can actually run the lanes on
-  // distinct threads — pipeline_can_overlap; a 1-core host degrades to the
-  // serial loop UP FRONT instead of paying the queue handoff for nothing —
-  // and (b) launch_if_idle atomically claims the pool's job slot: claimed
-  // means our two lanes really run concurrently (pool workers are idle by
-  // the launch-serialization invariant); declined (run_pipeline called from
-  // inside another launch, or racing one) means the loop below serves
-  // serially instead.
-  if (options.pipelined && num_batches > 1 &&
-      pipeline_can_overlap(std::thread::hardware_concurrency(),
-                           parallel::ThreadPool::global().num_workers())) {
-    BatchQueue queue(options.queue_capacity);
+  // The serial loop is the one-lane case: launch(1, ...) runs inline on the
+  // caller, so sampling and gather keep num_threads-way kernels. With
+  // several lanes the kernels nested in a batch run inline on its lane.
+  const int lanes =
+      options.pipelined
+          ? static_cast<int>(std::min<std::int64_t>(options.num_threads,
+                                                    num_batches))
+          : 1;
+  const int kernel_threads = lanes > 1 ? 1 : options.num_threads;
+  struct LaneStats {
     double produce_seconds = 0.0;
     double consume_seconds = 0.0;
-    std::thread::id lane_thread[2];
-    const bool claimed = parallel::ThreadPool::global().launch_if_idle(
-        2, [&](int tid, int) {
-          lane_thread[tid] = std::this_thread::get_id();
-          if (tid == 0) {
-            // Producer: sample + gather batch i while the consumer computes
-            // i-1. Work is timed per batch so queue-blocked time is not
-            // counted.
-            for (std::int64_t i = 0; i < num_batches; ++i) {
-              support::Timer t;
-              PreparedBatch batch =
-                  produce_batch(sampler, features, seeds, i,
-                                options.batch_size, options.gather_threads,
-                                options.sample_threads);
-              produce_seconds += t.seconds();
-              queue.push(std::move(batch));
-            }
-            queue.close();
-          } else {
-            PreparedBatch batch;
-            while (queue.pop(batch)) {
-              support::Timer t;
-              FG_TRACE_SCOPE("pipeline.consume", obs::arg("batch", batch.index));
-              consume(batch);
-              consume_seconds += t.seconds();
-            }
-          }
-        });
-    if (claimed) {
-      stats.produce_seconds = produce_seconds;
-      stats.consume_seconds = consume_seconds;
-      stats.max_queue_depth = queue.max_depth();
-      // Claiming the job slot makes concurrency POSSIBLE; report whether it
-      // actually happened. If the fast producer drained every batch before
-      // a worker woke, the caller ran both lanes back to back — that's a
-      // serial execution and the bench comparison must not call it overlap.
-      stats.overlapped = lane_thread[0] != lane_thread[1];
-      stats.total_seconds = total.seconds();
-      return stats;
+    std::thread::id thread;  // default id: the lane ran no batch
+  };
+  std::vector<LaneStats> lane_stats(static_cast<std::size_t>(lanes));
+  std::atomic<std::int64_t> next_batch{0};
+  std::atomic<bool> failed{false};
+  parallel::ThreadPool::global().launch(lanes, [&](int lane, int) {
+    LaneStats& ls = lane_stats[static_cast<std::size_t>(lane)];
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::int64_t i = next_batch.fetch_add(1, std::memory_order_relaxed);
+      if (i >= num_batches) return;
+      ls.thread = std::this_thread::get_id();
+      try {
+        support::Timer t;
+        PreparedBatch batch = produce_batch(sampler, features, seeds, i,
+                                            options.batch_size, kernel_threads);
+        ls.produce_seconds += t.seconds();
+        t.reset();
+        {
+          FG_TRACE_SCOPE("pipeline.consume", obs::arg("batch", i));
+          consume(batch);
+        }
+        ls.consume_seconds += t.seconds();
+      } catch (...) {
+        failed.store(true, std::memory_order_relaxed);
+        throw;  // the launch rethrows the first lane exception on the caller
+      }
     }
-  }
+  });
 
-  for (std::int64_t i = 0; i < num_batches; ++i) {
-    support::Timer t;
-    PreparedBatch batch = produce_batch(sampler, features, seeds, i,
-                                        options.batch_size,
-                                        options.gather_threads,
-                                        options.sample_threads);
-    stats.produce_seconds += t.seconds();
-    t.reset();
-    {
-      FG_TRACE_SCOPE("pipeline.consume", obs::arg("batch", batch.index));
-      consume(batch);
-    }
-    stats.consume_seconds += t.seconds();
+  std::vector<std::thread::id> threads;
+  for (const LaneStats& ls : lane_stats) {
+    stats.produce_seconds += ls.produce_seconds;
+    stats.consume_seconds += ls.consume_seconds;
+    if (ls.thread != std::thread::id() &&
+        std::find(threads.begin(), threads.end(), ls.thread) == threads.end())
+      threads.push_back(ls.thread);
   }
+  stats.overlapped = threads.size() >= 2;
   stats.total_seconds = total.seconds();
   return stats;
 }

@@ -1,27 +1,27 @@
-// Pipelined minibatch serving loop + block-schedule cache.
+// Batch-parallel minibatch serving loop + block-schedule cache.
 //
-// The serving-scale inference loop every minibatch GNN system runs:
+// The serving-scale inference loop every minibatch GNN system runs. Each
+// batch is sampled, gathered and computed by ONE lane; T lanes run batches
+// side by side:
 //
-//        producer lane                    consumer lane
-//   ┌──────────────────────┐   bounded   ┌─────────────────────────┐
-//   │ sample blocks i+1    │    queue    │ block compute of batch i │
-//   │ gather features i+1  ├────────────▶│ (SpMM / SAGE / GCN ...)  │
-//   └──────────────────────┘  (capacity) └─────────────────────────┘
+//              next batch index (one atomic counter)
+//           ┌───────────────────┬─────────────────────┬─────────────
+//           ▼                   ▼                     ▼
+//   lane 0: sample i    lane 1: sample j    lane T-1: sample k
+//           gather i            gather j              gather k
+//           consume i           consume j             consume k
+//           (then claims the next index, until none is left)
 //
-// Batch i+1's sampling + feature gather overlaps batch i's block compute.
-// Both lanes run as ONE 2-lane launch on the existing thread pool (the
-// caller executes one lane, a pool worker the other). ThreadPool serializes
-// launches — a nested launch runs inline — so the consumer's kernels may
-// freely use parallel_for inside its lane; and the overlap itself only runs
-// when ThreadPool::launch_if_idle atomically claims the job slot. A
-// declined claim (run_pipeline called from inside another launch, or racing
-// a concurrent one — where the two lanes would run sequentially and a full
-// queue could never drain) falls back to the serial path. No
-// check-then-launch window exists: the claim happens under the pool's lock.
+// The lanes are ONE ThreadPool::launch, so the kernels nested inside a
+// batch (sampling, gather, matmul, SpMM) run inline on their lane; the
+// parallelism is across batches. Nothing blocks between lanes — there is no
+// queue, so nothing can deadlock, and called from inside another launch the
+// lanes simply run inline, one after another.
 //
 // Determinism: batch i's blocks are a pure function of (graph, seed, i) —
-// see neighbor_sampler.hpp — and the consumer always sees batches in index
-// order, so pipelined and serial runs produce identical results.
+// see neighbor_sampler.hpp — so which lane runs a batch, and when, never
+// changes what it sees. Consumers that write each batch to rows fixed by
+// its index produce identical results at every lane count.
 //
 // The BlockScheduleCache amortizes schedule selection across the stream:
 // sampled blocks arrive by the thousands with only a handful of distinct
@@ -55,58 +55,38 @@ struct PreparedBatch {
 
 struct PipelineOptions {
   std::int64_t batch_size = 256;
-  /// Prepared batches buffered ahead of the consumer (>= 1).
-  int queue_capacity = 2;
-  /// Overlap produce(i+1) with consume(i); false = sample-then-compute
-  /// serially (the baseline bench_minibatch prices).
+  /// true = run batches on num_threads lanes at once, kernels inline on
+  /// each lane; false = one batch at a time with num_threads-way kernels
+  /// (the reference tests and bench_minibatch compare against).
   bool pipelined = true;
-  /// Threads for the feature gather inside the producer lane. NOTE: while
-  /// the 2-lane overlap is active it holds the pool's ATTACHED job slot, so
-  /// the gather's nested launch runs inline — effectively one thread. The
-  /// knob only fans out in the serial path (pipelined = false, a declined
-  /// claim, or a single batch). The serving lane has no such limit: it runs
-  /// DETACHED (src/serve), so its nested launches recruit real workers.
-  int gather_threads = 1;
-  /// Threads for the shard-parallel neighbor sampling inside the producer
-  /// lane (NeighborSampler::sample's num_threads — deterministic at any
-  /// value). Same overlap caveat as gather_threads.
-  int sample_threads = 1;
+  /// Lane count when pipelined (capped at the batch count); kernel thread
+  /// count for sampling and gather when serial.
+  int num_threads = 1;
 };
 
 struct PipelineStats {
   std::int64_t batches = 0;
-  /// Deepest the prepared-batch queue ever got (<= queue_capacity).
-  int max_queue_depth = 0;
-  /// Seconds the producer lane spent sampling + gathering.
+  /// Seconds spent sampling + gathering, summed over lanes.
   double produce_seconds = 0.0;
-  /// Seconds the consumer lane spent in block compute.
+  /// Seconds spent in `consume`, summed over lanes.
   double consume_seconds = 0.0;
-  /// Wall-clock of the whole loop; under genuine overlap this approaches
-  /// max(produce, consume) instead of their sum.
+  /// Wall-clock of the whole loop; with L busy lanes it approaches
+  /// (produce + consume) / L.
   double total_seconds = 0.0;
-  /// True when the producer and consumer lanes OBSERVABLY ran on distinct
-  /// threads (false = serial fallback, or the claim succeeded but one
-  /// thread ended up executing both lanes back to back — reported honestly
-  /// so pipelined-vs-serial comparisons never mislabel a serial run).
+  /// True when batches OBSERVABLY ran on at least 2 distinct threads (false
+  /// for the serial loop, for lanes run inline inside another launch, or
+  /// when one thread happened to claim every batch).
   bool overlapped = false;
 };
 
-/// Whether the 2-lane overlap can possibly run the lanes on DISTINCT
-/// threads: it needs a second hardware context (on a 1-core host the lanes
-/// time-slice one core and the queue handoff is pure overhead — measured
-/// ~0.9x vs serial) and at least one pool worker to execute the second
-/// lane. run_pipeline consults this up front and degrades to the serial
-/// path when false, so `pipelined = true` is always at least as fast as
-/// serial.
-bool pipeline_can_overlap(unsigned hardware_concurrency,
-                          unsigned pool_workers);
-
 /// Drives minibatches of `seeds` (contiguous chunks of `batch_size`, last
-/// one partial) through sample -> gather -> `consume`, overlapping the next
-/// batch's production with the current batch's consumption when possible
-/// (see pipeline_can_overlap). `consume` runs on batches in strictly
-/// increasing index order; the batch is handed over mutably so the consumer
-/// may move tensors out.
+/// one partial; batch i holds seeds [i * batch_size, ...)) through sample
+/// -> gather -> `consume`. Each batch index is consumed exactly once. With
+/// options.pipelined, `consume` runs CONCURRENTLY on different lanes and
+/// batches arrive in no fixed order; otherwise in increasing index order on
+/// the caller. The batch is handed over mutably so the consumer may move
+/// tensors out. If `consume` throws, lanes stop claiming new batches, the
+/// batches in flight finish, and the first exception is rethrown here.
 PipelineStats run_pipeline(const NeighborSampler& sampler,
                            const tensor::Tensor& features,
                            const std::vector<graph::vid_t>& seeds,

@@ -147,7 +147,7 @@ void ServingEngine::reset_stats() {
 
 Server::Server(ServingEngine& engine) : engine_(engine) {
   // The serving lane prefers a pool worker — launch_detached_if_idle claims
-  // the job slot atomically, exactly like the pipeline's 2-lane overlap.
+  // the detached job slot atomically, under the pool's lock.
   // Declined (slot held, worker-less pool) falls back to a dedicated
   // thread: admission is about latency, not CPU parallelism, so a plain
   // thread serves fine. Either way the lane's kernels may run parallel_for

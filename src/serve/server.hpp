@@ -15,9 +15,9 @@
 // the window) everything that arrived meanwhile joins the next batch, which
 // is what makes coalescing self-reinforcing exactly when load is highest.
 //
-// The serving lane runs on the ThreadPool via launch_detached_if_idle —
-// the same atomic claim discipline as the sampling pipeline's 2-lane
-// overlap; a declined claim (slot busy, or a worker-less pool) falls back
+// The serving lane runs on the ThreadPool via launch_detached_if_idle,
+// which claims the detached slot atomically under the pool's lock; a
+// declined claim (slot busy, or a worker-less pool) falls back
 // to a dedicated thread, so a Server always starts. ServingEngine is the
 // synchronous core (one coalesced group in, per-request tensors out) shared
 // by the async Server, the deterministic Trainer::serve_requests entry
@@ -55,7 +55,8 @@ struct ServeOptions {
   /// scatter inside the serving lane. Sampling stays bit-identical at any
   /// value (per-vertex RNG streams, see neighbor_sampler.hpp), and because
   /// the lane runs DETACHED these nested launches recruit real pool
-  /// workers — unlike the pipeline's attached 2-lane overlap.
+  /// workers — unlike the kernels nested in a minibatch pipeline lane,
+  /// which run inline.
   int num_threads = 1;
   /// Sampler stream (batch_index) EVERY request is served under — solo and
   /// coalesced serving share it, which (with per-vertex RNG streams) is

@@ -8,6 +8,7 @@
 #include <future>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -54,6 +55,34 @@ TEST(ThreadPool, OversubscriptionIsFunctionallyCorrect) {
   EXPECT_EQ(total.load(), 64);
 }
 
+TEST(ThreadPool, LaneExceptionIsRethrownOnTheCallerAfterEveryLaneRuns) {
+  // A throwing lane must not std::terminate the process (a worker lane) or
+  // leave the attached slot claimed (the caller's lane): the launch runs
+  // every other lane, rethrows the first exception on the caller, and the
+  // next launch works. Each lane index takes a turn as the thrower, so both
+  // the caller's and a worker's lane are covered whichever runs where.
+  ThreadPool local(3);
+  for (ThreadPool* pool : {&ThreadPool::global(), &local}) {
+    for (int bad = 0; bad < 4; ++bad) {
+      std::vector<std::atomic<int>> counts(4);
+      for (auto& c : counts) c = 0;
+      try {
+        pool->launch(4, [&](int tid, int) {
+          counts[static_cast<std::size_t>(tid)].fetch_add(1);
+          if (tid == bad) throw std::runtime_error("lane failed");
+        });
+        ADD_FAILURE() << "lane " << bad << "'s exception was swallowed";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "lane failed");
+      }
+      for (auto& c : counts) EXPECT_EQ(c.load(), 1) << "thrower " << bad;
+      std::atomic<int> total{0};
+      pool->launch(4, [&](int, int) { total.fetch_add(1); });
+      EXPECT_EQ(total.load(), 4) << "launch after lane " << bad << " threw";
+    }
+  }
+}
+
 // --- dual-slot pool (attached vs detached jobs) ---------------------------
 
 TEST(ThreadPool, DetachedJobDoesNotStarveAttachedLaunches) {
@@ -95,34 +124,6 @@ TEST(ThreadPool, DetachedJobDoesNotStarveAttachedLaunches) {
   }
   cv.notify_all();
   pool.wait_detached_drained();
-}
-
-TEST(ThreadPool, LaunchIfIdleNeedsAWorkerBeyondDetachedLanes) {
-  // launch_if_idle promises GENUINE lane concurrency. With the pool's only
-  // worker consumed by an unfinished detached lane, the caller alone cannot
-  // overlap two lanes — the claim must decline without running anything,
-  // and succeed again once the detached job drains.
-  ThreadPool pool(1);
-  std::mutex m;
-  std::condition_variable cv;
-  bool release = false;
-  ASSERT_TRUE(pool.launch_detached_if_idle(1, [&](int, int) {
-    std::unique_lock<std::mutex> lock(m);
-    cv.wait(lock, [&] { return release; });
-  }));
-
-  std::atomic<int> ran{0};
-  EXPECT_FALSE(pool.launch_if_idle(2, [&](int, int) { ran.fetch_add(1); }));
-  EXPECT_EQ(ran.load(), 0) << "a declined claim must not execute any lane";
-
-  {
-    std::lock_guard<std::mutex> lock(m);
-    release = true;
-  }
-  cv.notify_all();
-  pool.wait_detached_drained();
-  EXPECT_TRUE(pool.launch_if_idle(2, [&](int, int) { ran.fetch_add(1); }));
-  EXPECT_EQ(ran.load(), 2);
 }
 
 TEST(ThreadPool, DetachedLaneRunsNestedParallelKernels) {

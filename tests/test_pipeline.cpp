@@ -1,11 +1,16 @@
-// Pipelined serving-loop behavior (ISSUE 5): batch ordering and coverage,
-// bounded-queue capacity, producer/consumer overlap vs serial equivalence
-// (the "same seed => same blocks at 1 vs N pipeline threads" determinism
-// pin), and the shape-class schedule cache's hit-rate contract.
+// Batch-parallel serving-loop behavior: every batch consumed exactly once
+// (serial runs in index order), lane-count vs serial equivalence (the "same
+// seed => same blocks at 1 vs N lanes" determinism pin, and bit-identical
+// inference at every lane count), lane exceptions, and the shape-class
+// schedule cache's hit-rate contract.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -56,12 +61,18 @@ struct SeenBatch {
   }
 };
 
+/// Runs the loop and returns what the consumer saw, one entry per batch in
+/// index order whatever order the lanes consumed them in; `order` (if set)
+/// receives the consumption order.
 std::vector<SeenBatch> drive(const NeighborSampler& sampler,
                              const Tensor& features,
                              const std::vector<vid_t>& seeds,
                              const PipelineOptions& opts,
-                             fg::sample::PipelineStats* stats_out = nullptr) {
-  std::vector<SeenBatch> seen;
+                             fg::sample::PipelineStats* stats_out = nullptr,
+                             std::vector<std::int64_t>* order = nullptr) {
+  std::mutex mutex;
+  std::map<std::int64_t, SeenBatch> seen;
+  std::vector<std::int64_t> consumed;
   const auto stats = fg::sample::run_pipeline(
       sampler, features, seeds, opts, [&](PreparedBatch& b) {
         SeenBatch s;
@@ -72,10 +83,16 @@ std::vector<SeenBatch> drive(const NeighborSampler& sampler,
         s.indices0 = b.blocks.blocks[0].adj.indices;
         s.feats.assign(b.input_feats.data(),
                        b.input_feats.data() + b.input_feats.numel());
-        seen.push_back(std::move(s));
+        std::lock_guard<std::mutex> lock(mutex);
+        consumed.push_back(b.index);
+        EXPECT_TRUE(seen.emplace(b.index, std::move(s)).second)
+            << "batch " << b.index << " consumed twice";
       });
   if (stats_out != nullptr) *stats_out = stats;
-  return seen;
+  if (order != nullptr) *order = consumed;
+  std::vector<SeenBatch> out;
+  for (auto& entry : seen) out.push_back(std::move(entry.second));
+  return out;
 }
 
 }  // namespace
@@ -89,25 +106,32 @@ TEST(Pipeline, ProcessesAllBatchesInOrderAndCoversAllSeeds) {
     PipelineOptions opts;
     opts.batch_size = 100;  // 512 seeds -> 6 batches, last partial
     opts.pipelined = pipelined;
+    opts.num_threads = 4;
     fg::sample::PipelineStats stats;
-    const auto seen = drive(sampler, x, seeds, opts, &stats);
-    ASSERT_EQ(seen.size(), 6u);
+    std::vector<std::int64_t> order;
+    const auto seen = drive(sampler, x, seeds, opts, &stats, &order);
+    ASSERT_EQ(seen.size(), 6u);  // every index exactly once
     EXPECT_EQ(stats.batches, 6);
     std::vector<vid_t> covered;
     for (std::size_t i = 0; i < seen.size(); ++i) {
-      EXPECT_EQ(seen[i].index, static_cast<std::int64_t>(i));  // in order
+      EXPECT_EQ(seen[i].index, static_cast<std::int64_t>(i));
       covered.insert(covered.end(), seen[i].seeds.begin(),
                      seen[i].seeds.end());
     }
     EXPECT_EQ(covered, seeds);  // exact coverage, original order
     EXPECT_EQ(seen.back().seeds.size(), 12u);  // 512 - 5 * 100
+    if (!pipelined) {
+      // The serial loop consumes in increasing index order.
+      EXPECT_EQ(order, (std::vector<std::int64_t>{0, 1, 2, 3, 4, 5}));
+      EXPECT_FALSE(stats.overlapped);
+    }
   }
 }
 
 TEST(Pipeline, DeterministicAcrossPipelineThreads) {
   // Same sampler seed => identical sampled blocks and gathered features
-  // whether the loop runs serially (one thread) or overlapped (producer +
-  // consumer lanes) — the satellite's 1-vs-N determinism pin.
+  // whether the loop runs serially (one thread) or on 2..8 batch lanes —
+  // the 1-vs-N determinism pin.
   const Csr csr = rmat_csr(1024, 10.0, 7);
   const Tensor x = Tensor::randn({csr.num_cols, 12}, 9);
   NeighborSampler sampler(csr, {{3, 5}, false, 123});
@@ -115,84 +139,57 @@ TEST(Pipeline, DeterministicAcrossPipelineThreads) {
   PipelineOptions serial;
   serial.batch_size = 128;
   serial.pipelined = false;
-  PipelineOptions overlapped = serial;
-  overlapped.pipelined = true;
-  overlapped.queue_capacity = 3;
-  fg::sample::PipelineStats stats;
   const auto a = drive(sampler, x, seeds, serial);
-  const auto b = drive(sampler, x, seeds, overlapped, &stats);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    EXPECT_TRUE(a[i] == b[i]) << "batch " << i;
-  // And the second run genuinely took the 2-lane path — unless the host
-  // cannot overlap at all (1 hardware context), where run_pipeline must
-  // degrade to the serial loop up front and report it honestly.
-  if (fg::sample::pipeline_can_overlap(
-          std::thread::hardware_concurrency(),
-          fg::parallel::ThreadPool::global().num_workers())) {
-    EXPECT_TRUE(stats.overlapped);
-  } else {
-    EXPECT_FALSE(stats.overlapped);
+  ASSERT_EQ(a.size(), 8u);
+  for (const int lanes : {2, 3, 4, 8}) {
+    PipelineOptions pipelined = serial;
+    pipelined.pipelined = true;
+    pipelined.num_threads = lanes;
+    const auto b = drive(sampler, x, seeds, pipelined);
+    ASSERT_EQ(a.size(), b.size()) << lanes << " lanes";
+    for (std::size_t i = 0; i < a.size(); ++i)
+      EXPECT_TRUE(a[i] == b[i]) << "batch " << i << ", " << lanes << " lanes";
   }
 }
 
-TEST(Pipeline, BoundedQueueRespectsCapacity) {
-  const Csr csr = rmat_csr(512, 8.0, 4);
-  const Tensor x = Tensor::randn({csr.num_cols, 4}, 1);
+TEST(Pipeline, ConsumeExceptionReachesTheCallerAndTheNextRunWorks) {
+  // A consumer that throws on batch k must neither kill the process (a
+  // worker lane) nor wedge the pool (the caller's lane): run_pipeline
+  // rethrows on the caller and the next run serves every batch.
+  const Csr csr = rmat_csr(512, 6.0, 12);
+  const Tensor x = Tensor::randn({csr.num_cols, 4}, 3);
   NeighborSampler sampler(csr, {{2}, false, 5});
   const auto seeds = all_vertices(csr);
-  for (const int capacity : {1, 2}) {
+  constexpr std::int64_t kBad = 3;
+  for (const bool pipelined : {false, true}) {
     PipelineOptions opts;
     opts.batch_size = 32;  // 16 batches
-    opts.queue_capacity = capacity;
-    fg::sample::PipelineStats stats;
-    drive(sampler, x, seeds, opts, &stats);
-    EXPECT_LE(stats.max_queue_depth, capacity);
-    if (fg::sample::pipeline_can_overlap(
-            std::thread::hardware_concurrency(),
-            fg::parallel::ThreadPool::global().num_workers())) {
-      EXPECT_GE(stats.max_queue_depth, 1);
-    } else {
-      // Serial up-front degrade: the queue is never touched.
-      EXPECT_EQ(stats.max_queue_depth, 0);
+    opts.pipelined = pipelined;
+    opts.num_threads = 4;
+    std::mutex mutex;
+    std::vector<std::int64_t> consumed;
+    EXPECT_THROW(
+        fg::sample::run_pipeline(sampler, x, seeds, opts,
+                                 [&](PreparedBatch& b) {
+                                   if (b.index == kBad)
+                                     throw std::runtime_error("bad batch");
+                                   std::lock_guard<std::mutex> lock(mutex);
+                                   consumed.push_back(b.index);
+                                 }),
+        std::runtime_error)
+        << (pipelined ? "pipelined" : "serial");
+    if (!pipelined) {
+      // The serial loop stops at the throwing batch.
+      EXPECT_EQ(consumed, (std::vector<std::int64_t>{0, 1, 2}));
     }
-  }
-}
-
-TEST(Pipeline, OverlapPredicateRequiresTwoContextsAndAWorker) {
-  // The 1-core regression pin (BENCH_kernels.json serving section: pipelined
-  // 0.249s vs serial 0.220s on hardware_concurrency == 1): with a single
-  // hardware context the lanes time-slice one core, so run_pipeline must
-  // degrade to serial before paying for the queue handoff.
-  EXPECT_FALSE(fg::sample::pipeline_can_overlap(1, 1));
-  EXPECT_FALSE(fg::sample::pipeline_can_overlap(1, 8));
-  EXPECT_FALSE(fg::sample::pipeline_can_overlap(2, 0));
-  EXPECT_TRUE(fg::sample::pipeline_can_overlap(2, 1));
-  EXPECT_TRUE(fg::sample::pipeline_can_overlap(8, 7));
-
-  // On THIS host the pipelined option must never lose to serial by design:
-  // when the predicate is false the pipelined run IS the serial loop.
-  const Csr csr = rmat_csr(256, 6.0, 3);
-  const Tensor x = Tensor::randn({csr.num_cols, 4}, 6);
-  NeighborSampler sampler(csr, {{2}, false, 5});
-  const auto seeds = all_vertices(csr);
-  PipelineOptions opts;
-  opts.batch_size = 64;
-  opts.pipelined = true;
-  fg::sample::PipelineStats stats;
-  drive(sampler, x, seeds, opts, &stats);
-  if (!fg::sample::pipeline_can_overlap(
-          std::thread::hardware_concurrency(),
-          fg::parallel::ThreadPool::global().num_workers())) {
-    EXPECT_FALSE(stats.overlapped);
-    EXPECT_EQ(stats.max_queue_depth, 0);
+    const auto seen = drive(sampler, x, seeds, opts);
+    EXPECT_EQ(seen.size(), 16u) << (pipelined ? "pipelined" : "serial");
   }
 }
 
 TEST(Pipeline, SerialFallbackInsideAnActiveLaunch) {
-  // run_pipeline from inside a pool launch must not deadlock: the lanes
-  // would run inline/sequentially there, so the loop detects the busy pool
-  // and serves serially.
+  // run_pipeline from inside a pool launch must not deadlock: its lanes
+  // run inline, one after another, on the calling lane.
   const Csr csr = rmat_csr(256, 6.0, 8);
   const Tensor x = Tensor::randn({csr.num_cols, 4}, 2);
   NeighborSampler sampler(csr, {{2}, false, 5});
@@ -201,8 +198,8 @@ TEST(Pipeline, SerialFallbackInsideAnActiveLaunch) {
     if (tid != 0) return;
     PipelineOptions opts;
     opts.batch_size = 64;
-    opts.queue_capacity = 1;  // would deadlock if the lanes serialized
     opts.pipelined = true;
+    opts.num_threads = 4;
     fg::sample::PipelineStats stats;
     const auto seen = drive(sampler, x, seeds, opts, &stats);
     EXPECT_EQ(seen.size(), 4u);
@@ -409,4 +406,66 @@ TEST(Pipeline, SampledInferenceIsDeterministicAndLearnsTheTask) {
             0);
   EXPECT_GT(full_acc, 0.85);
   EXPECT_GT(a.accuracy, 0.75);
+}
+
+TEST(Pipeline, PipelinedInferenceMatchesSerialAtEveryLaneCount) {
+  // The lane-count oracle: batch-parallel minibatch inference on 1..8 lanes
+  // is memcmp-equal to the serial loop, with the same accounting — each
+  // batch writes fixed output rows and the per-batch contexts merge in
+  // index order. The gpusim leg makes the merged sim_seconds (the epoch's
+  // reported seconds) part of the comparison.
+  const auto data = fg::minidgl::make_sbm_classification(
+      600, 10.0, 4, 0.9, 16, 2.0f, 77);
+  std::vector<std::int64_t> rows(600);
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    rows[i] = static_cast<std::int64_t>(i);
+  struct Case {
+    const char* kind;
+    fg::minidgl::Device device;
+  };
+  for (const Case c : {Case{"gcn", fg::minidgl::Device::kCpu},
+                       Case{"sage-mean", fg::minidgl::Device::kCpu},
+                       Case{"sage-max", fg::minidgl::Device::kCpu},
+                       Case{"sage-mean", fg::minidgl::Device::kGpuSim}}) {
+    fg::minidgl::ExecContext ctx;
+    ctx.num_threads = 2;
+    ctx.device = c.device;
+    fg::minidgl::Trainer trainer(
+        data, fg::minidgl::Model(c.kind, 16, 24, 4, /*seed=*/42), ctx, 0.05f);
+    trainer.train_epoch();
+
+    fg::minidgl::MinibatchInferOptions opts;
+    opts.sampler.fanouts = {5, 5};
+    opts.sampler.seed = 3;
+    opts.batch_size = 64;  // 10 batches, the last one partial
+    opts.pipelined = false;
+    const auto serial = trainer.infer_minibatch(opts, rows);
+    const double serial_materialized = trainer.context().materialized_bytes;
+    ASSERT_GT(serial.peak_bytes, 0.0);
+
+    opts.pipelined = true;
+    for (const int lanes : {1, 2, 3, 4, 8}) {
+      trainer.context().num_threads = lanes;
+      const auto piped = trainer.infer_minibatch(opts, rows);
+      const std::string where = std::string(c.kind) + " on " +
+                                std::to_string(lanes) + " lanes" +
+                                (c.device == fg::minidgl::Device::kGpuSim
+                                     ? " (gpusim)"
+                                     : "");
+      ASSERT_EQ(piped.log_probs.numel(), serial.log_probs.numel()) << where;
+      EXPECT_EQ(std::memcmp(piped.log_probs.data(), serial.log_probs.data(),
+                            static_cast<std::size_t>(serial.log_probs.numel()) *
+                                sizeof(float)),
+                0)
+          << where;
+      EXPECT_EQ(piped.pipeline.batches, 10) << where;
+      EXPECT_EQ(piped.peak_bytes, serial.peak_bytes) << where;
+      EXPECT_EQ(trainer.context().materialized_bytes, serial_materialized)
+          << where;
+      EXPECT_EQ(piped.accuracy, serial.accuracy) << where;
+      if (c.device == fg::minidgl::Device::kGpuSim) {
+        EXPECT_EQ(piped.seconds, serial.seconds) << where;
+      }
+    }
+  }
 }
