@@ -1,16 +1,14 @@
-// Ablation: naive grid search (the paper's tuner, Sec. IV-A) vs the
-// budgeted hill-climbing tuner (the paper's future-work item, implemented
-// in core/smart_tuner). Reports trials used and the quality of the found
+// Ablation: naive grid search (the paper's tuner, Sec. IV-A) vs budgeted
+// hill climbing (the paper's future-work item), both over the paper space
+// (core/tuner.hpp). Reports trials used and the quality of the found
 // schedule on real kernels across feature lengths.
 #include <cstdio>
 
 #include "common.hpp"
-#include "core/smart_tuner.hpp"
 #include "core/tuner.hpp"
 
 namespace fb = featgraph::bench;
 namespace fg = featgraph;
-using fg::core::CpuSpmmSchedule;
 using fg::support::Table;
 using fg::tensor::Tensor;
 
@@ -26,25 +24,17 @@ int main() {
     const Tensor x = Tensor::randn({d.graph.num_vertices(), len}, 1);
     const fg::core::SpmmOperands ops{&x, nullptr, nullptr};
 
-    const auto grid = fg::core::default_spmm_candidates(len, 1);
-    const auto grid_result =
-        fg::core::tune_spmm(d.graph.in_csr(), "copy_u", "sum", ops, grid, 1);
+    const auto space = fg::core::paper_spmm_space(len, 1);
+    const auto measure =
+        fg::core::spmm_measure(d.graph.in_csr(), "copy_u", "sum", ops);
+    const auto grid_result = fg::core::tune(space, measure);
+    const auto smart = fg::core::tune(
+        space, measure,
+        {.strategy = fg::core::TuneStrategy::kHillClimb, .max_trials = 10});
 
-    const auto smart = fg::core::smart_tune_spmm(
-        len, 1,
-        [&](const CpuSpmmSchedule& s) {
-          return fg::support::time_mean_seconds(
-              [&] {
-                (void)fg::core::spmm(d.graph.in_csr(), "copy_u", "sum", s,
-                                     ops);
-              },
-              1);
-        },
-        fg::core::SmartTuneOptions{.max_trials = 10});
-
-    t.add_row({std::to_string(len), std::to_string(grid.size()),
+    t.add_row({std::to_string(len), std::to_string(grid_result.trials.size()),
                Table::num(grid_result.best_seconds * 1e3, 2),
-               std::to_string(smart.trials_used),
+               std::to_string(smart.trials.size()),
                Table::num(smart.best_seconds * 1e3, 2),
                fb::speedup_str(smart.best_seconds,
                                grid_result.best_seconds)});

@@ -1,6 +1,6 @@
 // Schedule-IR tuner benchmark: the paper's grid (partition x tile x
-// split_nnz, default_spmm_candidates) vs the wider Schedule-IR grid
-// (default_spmm_ir_candidates) for the CPU kernels the IR can actually help
+// split_nnz, paper_spmm_space) vs the wider Schedule-IR grid
+// (ir_spmm_space) for the CPU kernels the IR can actually help
 // — register-blocked feature tiles (tile(W).unroll(U) -> simd::accum_rows /
 // waxpy_rows keep the output tile pinned in vector registers across a row's
 // whole in-edge group) are outside the paper's grid, so the IR-tuned winner
@@ -12,9 +12,7 @@
 //   $ ./bench_schedule_ir
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common.hpp"
@@ -63,20 +61,20 @@ int main() {
   const auto isas = fg::simd::supported_isas();
   const int reps = std::max(2, fg::support::bench_reps() - 1);
 
-  // One kernel row: tune the paper grid and the IR grid under each ISA pin
-  // with the same measurement protocol (tune_* already does best-of-reps
-  // per candidate), then compare the winners.
+  // One kernel row: grid-tune the paper space and the IR space under each
+  // ISA pin with the same measure (each candidate timed as one warm-up plus
+  // the mean of `reps` launches), then compare the winners.
   const auto run_row = [&](const char* name,
-                           const std::function<fg::core::SpmmTuneResult(
-                               std::vector<CpuSpmmSchedule>)>& tune) {
+                           const fg::core::Measure<CpuSpmmSchedule>& measure) {
     RowResult row;
     row.name = name;
     for (const Isa isa : isas) {
       fg::simd::ScopedIsa pin(isa);
-      const auto grid =
-          tune(fg::core::default_spmm_candidates(d, /*num_threads=*/1));
-      const auto ir = tune(fg::core::default_spmm_ir_candidates(
-          d, csr.num_rows, /*num_threads=*/1));
+      const auto grid = fg::core::tune(
+          fg::core::paper_spmm_space(d, /*num_threads=*/1), measure);
+      const auto ir = fg::core::tune(
+          fg::core::ir_spmm_space(d, csr.num_rows, /*num_threads=*/1),
+          measure);
       row.grid_sec.push_back(grid.best_seconds);
       row.ir_sec.push_back(ir.best_seconds);
       row.ir_best.push_back(describe(ir.best));
@@ -94,20 +92,17 @@ int main() {
 
   std::vector<RowResult> rows;
   const fg::core::SpmmOperands xops{&x, nullptr, nullptr};
-  rows.push_back(run_row("spmm_copy_u_sum_d64", [&](auto cands) {
-    return fg::core::tune_spmm(csr, "copy_u", "sum", xops, std::move(cands),
-                               reps);
-  }));
-  rows.push_back(run_row("spmm_copy_u_max_d64", [&](auto cands) {
-    return fg::core::tune_spmm(csr, "copy_u", "max", xops, std::move(cands),
-                               reps);
-  }));
+  rows.push_back(run_row("spmm_copy_u_sum_d64",
+                         fg::core::spmm_measure(csr, "copy_u", "sum", xops,
+                                                reps)));
+  rows.push_back(run_row("spmm_copy_u_max_d64",
+                         fg::core::spmm_measure(csr, "copy_u", "max", xops,
+                                                reps)));
   fg::core::AttentionOperands aops;
   aops.src_feat = &x;
-  rows.push_back(run_row("attention_copy_u_d64", [&](auto cands) {
-    return fg::core::tune_attention(csr, "copy_u", aops, std::move(cands),
-                                    reps);
-  }));
+  rows.push_back(run_row("attention_copy_u_d64",
+                         fg::core::attention_measure(csr, "copy_u", aops,
+                                                     reps)));
 
   // --- splice the "schedule_ir" section --------------------------------
   std::string body = "{\n";

@@ -8,6 +8,7 @@
 // 4.4-5.5x on MLP aggregation, 4.3-6.0x on dot-product attention; vs MKL,
 // faster in 14/15 GCN cells with the gap growing with feature length.
 #include <cstdio>
+#include <utility>
 
 #include "baselines/ligra.hpp"
 #include "baselines/vendor_spmm.hpp"
@@ -36,7 +37,9 @@ fg::core::CpuSpmmSchedule tuned_schedule(const fg::graph::Csr& adj,
       grid.push_back(fg::core::spmm_schedule(ir));
     }
   }
-  return fg::core::tune_spmm(adj, msg_op, red, ops, grid).best;
+  return fg::core::tune(fg::core::list_space(std::move(grid)),
+                        fg::core::spmm_measure(adj, msg_op, red, ops))
+      .best;
 }
 
 void gcn_aggregation(const std::vector<fg::graph::Dataset>& datasets) {

@@ -32,14 +32,17 @@ int main() {
               static_cast<long long>(h.row_size()), h.at(0, 0), h.at(0, 1),
               h.at(0, 2), h.at(0, 3));
 
-  // 4. Let the grid-search tuner pick the best schedule for this topology
-  //    and feature length (paper Sec. IV-A).
-  const auto tuned = fg::core::tuned_spmm_schedule(g.in_csr(), "copy_u", "sum",
-                                                   {&x, nullptr, nullptr},
-                                                   /*num_threads=*/2);
-  std::printf("tuned schedule: %s\n",
-              tuned.ir != nullptr ? tuned.ir->describe().c_str()
-                                  : "<default>");
+  // 4. Let the grid-search tuner pick the best schedule in the paper's
+  //    partition x tile x row-split space for this topology and feature
+  //    length (paper Sec. IV-A), timing each candidate on the real kernel.
+  const auto tuned = fg::core::tune(
+      fg::core::paper_spmm_space(x.row_size(), /*num_threads=*/2),
+      fg::core::spmm_measure(g.in_csr(), "copy_u", "sum",
+                             {&x, nullptr, nullptr}));
+  std::printf("tuned schedule: %s (%zu trials, %.3f ms)\n",
+              tuned.best.ir != nullptr ? tuned.best.ir->describe().c_str()
+                                       : "<default>",
+              tuned.trials.size(), tuned.best_seconds * 1e3);
 
   // 5. Edge-wise computation: dot-product attention (Fig. 4a) via SDDMM.
   fg::core::CpuSddmmSchedule sfds;

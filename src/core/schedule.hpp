@@ -6,9 +6,8 @@
 // schedule, FDS (feature tiling factors, parallelization/binding of the
 // feature axis, tree reduction). On the CPU both halves are one Schedule-IR
 // program (core/schedule_ir.hpp) attached to the schedule; the simulated-GPU
-// schedules keep plain fields. The tuners (core/tuner.hpp,
-// core/smart_tuner.hpp) search the product space, grid search as Sec. IV-A
-// describes.
+// schedules keep plain fields. The tuner (core/tuner.hpp) searches the
+// product space, by grid search as Sec. IV-A describes or by hill climbing.
 #pragma once
 
 #include <cstdint>
@@ -34,10 +33,10 @@ enum class LoadBalance : int {
 };
 
 /// The load-balance values worth searching at a given thread count — the
-/// single source of truth both tuners draw their axis from. At one thread
-/// the two policies run the identical sweep, so only the default is listed;
-/// element 0 always matches the empty program's row split (the smart
-/// tuner's first seed point relies on that).
+/// single source of truth the tuner's spaces draw their axis from. At one
+/// thread the two policies run the identical sweep, so only the default is
+/// listed; element 0 always matches the empty program's row split (the
+/// paper space's origin relies on that).
 inline std::vector<LoadBalance> load_balance_axis(int num_threads) {
   if (num_threads <= 1) return {LoadBalance::kNnzBalanced};
   return {LoadBalance::kNnzBalanced, LoadBalance::kStaticRows};
@@ -98,7 +97,7 @@ struct GpuSpmmSchedule {
   /// the scratch spills its logits to global memory (two stores — the
   /// logit write and the exp rewrite — plus three read passes per spilled
   /// logit), so the knob trades softmax spills against source-staging
-  /// reuse — both tuners search it.
+  /// reuse — the tuner's gpusim attention space searches it.
   double attention_softmax_smem_frac = 0.5;
 };
 

@@ -1,52 +1,191 @@
 #include "core/tuner.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
-#include <mutex>
-#include <tuple>
+#include <iterator>
+#include <string>
 
 #include "core/schedule_ir.hpp"
 #include "gpusim/attention_gpu.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "support/check.hpp"
+#include "support/rng.hpp"
 #include "support/timer.hpp"
 
 namespace featgraph::core {
 
-std::vector<CpuSpmmSchedule> default_spmm_candidates(std::int64_t d_out,
-                                                     int num_threads) {
-  std::vector<CpuSpmmSchedule> grid;
-  const std::vector<LoadBalance> balances = load_balance_axis(num_threads);
-  for (int parts : {1, 2, 4, 8, 16, 32}) {
-    // Every width is a multiple of 16, so each tile is legal on every
-    // backend (validate_spmm_ir) — the grid is ISA-independent.
-    for (std::int64_t tile : {std::int64_t{0}, std::int64_t{16},
-                              std::int64_t{32}, std::int64_t{64},
-                              std::int64_t{128}}) {
-      if (tile > d_out) continue;
-      for (LoadBalance lb : balances) {
-        ScheduleIr ir;
-        if (parts > 1) ir.partition(parts);
-        if (tile > 0) ir.tile(tile);
-        if (lb != LoadBalance::kNnzBalanced) ir.split_nnz(lb);
-        grid.push_back(spmm_schedule(ir, num_threads));
+namespace {
+
+using Point = std::vector<int>;
+
+/// Random-restart greedy descent over the lattice `sizes`: each axis is
+/// stepped +-1 (a two-point policy axis gets its flip as the same move),
+/// measurements are memoized, and at most options.max_trials points are
+/// measured. `measure_at(point)` runs ONE measurement and returns its cost;
+/// `seed0` is the first seed point, later seeds are uniform random.
+template <class MeasureAt>
+void lattice_climb(const std::vector<int>& sizes, const Point& seed0,
+                   const TuneOptions& options, const MeasureAt& measure_at) {
+  const std::size_t axes = sizes.size();
+  std::map<Point, double> measured;
+  int trials_used = 0;
+
+  auto eval = [&](const Point& p) -> double {
+    auto it = measured.find(p);
+    if (it != measured.end()) return it->second;
+    if (trials_used >= options.max_trials)
+      return std::numeric_limits<double>::infinity();
+    const double secs = measure_at(p);
+    ++trials_used;
+    measured.emplace(p, secs);
+    return secs;
+  };
+
+  support::Rng rng(options.seed);
+  for (int seed_idx = 0;
+       seed_idx < options.num_seeds && trials_used < options.max_trials;
+       ++seed_idx) {
+    Point p = seed0;
+    if (seed_idx > 0) {
+      for (std::size_t a = 0; a < axes; ++a)
+        p[a] = static_cast<int>(
+            rng.uniform(static_cast<std::uint64_t>(sizes[a])));
+    }
+    double current = eval(p);
+
+    // Greedy neighbor descent over the 2N axis-aligned moves.
+    for (;;) {
+      Point best_p = p;
+      double best = current;
+      for (std::size_t a = 0; a < axes; ++a) {
+        for (int step : {-1, +1}) {
+          Point c = p;
+          c[a] += step;
+          if (c[a] < 0 || c[a] >= sizes[a]) continue;
+          const double secs = eval(c);
+          if (secs < best) {
+            best = secs;
+            best_p = std::move(c);
+          }
+        }
       }
+      if (best_p == p) break;
+      p = std::move(best_p);
+      current = best;
+      if (trials_used >= options.max_trials) break;
     }
   }
-  return grid;
 }
 
-std::vector<CpuSpmmSchedule> default_spmm_ir_candidates(std::int64_t d_out,
-                                                        std::int64_t num_rows,
-                                                        int num_threads) {
-  std::vector<CpuSpmmSchedule> grid;
+template <class S>
+TuneResult<S> tune_impl(const TuneSpace<S>& space, const Measure<S>& measure,
+                        const TuneOptions& options) {
+  const std::size_t axes = space.sizes.size();
+  FG_CHECK_MSG(axes > 0 && space.origin.size() == axes,
+               "tune needs a space with at least one axis and an origin");
+  std::int64_t points = 1;
+  for (std::size_t a = 0; a < axes; ++a) {
+    FG_CHECK_MSG(space.sizes[a] > 0, "tune needs a non-empty space");
+    FG_CHECK(space.origin[a] >= 0 && space.origin[a] < space.sizes[a]);
+    points *= space.sizes[a];
+  }
+  const bool grid = options.strategy == TuneStrategy::kGrid;
+  FG_CHECK(grid || options.max_trials >= 1);
+
+  static obs::Counter& obs_tunes =
+      obs::Registry::global().counter("tuner.tune.count");
+  static obs::Counter& obs_trials =
+      obs::Registry::global().counter("tuner.trial.count");
+  obs_tunes.add(1);
+  FG_TRACE_SCOPE("tuner.tune",
+                 obs::arg("strategy", grid ? "grid" : "hill_climb"),
+                 obs::arg("points", points));
+
+  TuneResult<S> result;
+  result.best_seconds = std::numeric_limits<double>::infinity();
+  const auto trial = [&](const Point& p) {
+    obs_trials.add(1);
+    FG_TRACE_SCOPE("tuner.trial");
+    S s = space.at(p);
+    const double secs = measure(s);
+    if (secs < result.best_seconds) {
+      result.best_seconds = secs;
+      result.best = s;
+    }
+    result.trials.push_back({std::move(s), secs});
+    return secs;
+  };
+
+  if (grid) {
+    // Mixed-radix count over the lattice, last axis fastest.
+    Point p(axes, 0);
+    for (;;) {
+      trial(p);
+      std::size_t a = axes;
+      while (a > 0 && ++p[a - 1] == space.sizes[a - 1]) p[--a] = 0;
+      if (a == 0) break;
+    }
+  } else {
+    lattice_climb(space.sizes, space.origin, options, trial);
+  }
+  FG_CHECK_MSG(std::isfinite(result.best_seconds),
+               "tune needs at least one finite measurement");
+  return result;
+}
+
+}  // namespace
+
+TuneResult<CpuSpmmSchedule> tune(const TuneSpace<CpuSpmmSchedule>& space,
+                                 const Measure<CpuSpmmSchedule>& measure,
+                                 const TuneOptions& options) {
+  return tune_impl(space, measure, options);
+}
+
+TuneResult<GpuSpmmSchedule> tune(const TuneSpace<GpuSpmmSchedule>& space,
+                                 const Measure<GpuSpmmSchedule>& measure,
+                                 const TuneOptions& options) {
+  return tune_impl(space, measure, options);
+}
+
+// --- spaces ----------------------------------------------------------------
+
+TuneSpace<CpuSpmmSchedule> paper_spmm_space(std::int64_t d_out,
+                                            int num_threads) {
+  static constexpr int kParts[] = {1, 2, 4, 8, 16, 32};
+  std::vector<std::int64_t> tiles;
+  for (std::int64_t tile : {0, 16, 32, 64, 128})
+    if (tile <= d_out) tiles.push_back(tile);
+  std::vector<LoadBalance> balances = load_balance_axis(num_threads);
+  const std::vector<int> sizes = {static_cast<int>(std::size(kParts)),
+                                  static_cast<int>(tiles.size()),
+                                  static_cast<int>(balances.size())};
+  return {sizes, {0, 0, 0},
+          [tiles = std::move(tiles), balances = std::move(balances),
+           num_threads](const std::vector<int>& p) {
+            const int parts = kParts[p[0]];
+            const std::int64_t tile = tiles[static_cast<std::size_t>(p[1])];
+            const LoadBalance lb = balances[static_cast<std::size_t>(p[2])];
+            ScheduleIr ir;
+            if (parts > 1) ir.partition(parts);
+            if (tile > 0) ir.tile(tile);
+            if (lb != LoadBalance::kNnzBalanced) ir.split_nnz(lb);
+            return spmm_schedule(ir, num_threads);
+          }};
+}
+
+TuneSpace<CpuSpmmSchedule> ir_spmm_space(std::int64_t d_out,
+                                         std::int64_t num_rows,
+                                         int num_threads) {
+  std::vector<CpuSpmmSchedule> list;
   const simd::Isa isa = simd::active_isa();
   auto push = [&](const ScheduleIr& ir) {
     // Illegal programs (tile not a lane multiple on this backend, chunk past
     // the row count, ...) are filtered here, never measured.
     if (!validate_spmm_ir(ir, num_rows, d_out, isa).empty()) return;
-    grid.push_back(spmm_schedule(ir, num_threads));
+    list.push_back(spmm_schedule(ir, num_threads));
   };
 
   // Candidate #0: the empty program — the untuned default nest, so the
@@ -108,158 +247,48 @@ std::vector<CpuSpmmSchedule> default_spmm_ir_candidates(std::int64_t d_out,
     }
     push(ScheduleIr().shard(4 * num_threads).steal_grain(2));
   }
-  return grid;
+  return list_space(std::move(list));
 }
 
-SpmmTuneResult tune_spmm(const graph::Csr& adj, std::string_view msg_op,
-                         std::string_view reduce_op,
-                         const SpmmOperands& operands,
-                         std::vector<CpuSpmmSchedule> candidates,
-                         int timing_reps) {
-  FG_CHECK(!candidates.empty());
-  static obs::Counter& obs_tunes =
-      obs::Registry::global().counter("tuner.tune.count");
-  static obs::Counter& obs_trials =
-      obs::Registry::global().counter("tuner.trial.count");
-  obs_tunes.add(1);
-  FG_TRACE_SCOPE("tuner.tune", obs::arg("kind", "spmm"),
-                 obs::arg("candidates",
-                          static_cast<std::int64_t>(candidates.size())));
-  SpmmTuneResult result;
-  result.best_seconds = std::numeric_limits<double>::infinity();
-  for (const auto& cand : candidates) {
-    obs_trials.add(1);
-    FG_TRACE_SCOPE("tuner.trial");
-    const double secs = support::time_mean_seconds(
-        [&] { (void)spmm(adj, msg_op, reduce_op, cand, operands); },
+TuneSpace<GpuSpmmSchedule> gpu_attention_space() {
+  static constexpr int kRowsPerTile[] = {32, 64, 128};
+  static constexpr double kSoftmaxFrac[] = {0.25, 0.5, 0.75, 1.0};
+  static constexpr LoadBalance kAssign[] = {LoadBalance::kNnzBalanced,
+                                            LoadBalance::kStaticRows};
+  const std::vector<int> sizes = {static_cast<int>(std::size(kRowsPerTile)),
+                                  static_cast<int>(std::size(kSoftmaxFrac)),
+                                  static_cast<int>(std::size(kAssign))};
+  // Origin: 32-row tiles, an even smem split, nnz-balanced tiles.
+  return {sizes, {0, 1, 0}, [](const std::vector<int>& p) {
+            GpuSpmmSchedule s;
+            s.hybrid_rows_per_tile = kRowsPerTile[p[0]];
+            s.attention_softmax_smem_frac = kSoftmaxFrac[p[1]];
+            s.hybrid_partition = s.attention_softmax_smem_frac < 1.0;
+            s.row_assignment = kAssign[p[2]];
+            return s;
+          }};
+}
+
+// --- measures --------------------------------------------------------------
+
+Measure<CpuSpmmSchedule> spmm_measure(const graph::Csr& adj,
+                                      std::string_view msg_op,
+                                      std::string_view reduce_op,
+                                      const SpmmOperands& operands,
+                                      int timing_reps) {
+  return [&adj, msg_op = std::string(msg_op),
+          reduce_op = std::string(reduce_op), operands,
+          timing_reps](const CpuSpmmSchedule& sched) {
+    return support::time_mean_seconds(
+        [&] { (void)spmm(adj, msg_op, reduce_op, sched, operands); },
         timing_reps);
-    result.trials.push_back({cand, secs});
-    if (secs < result.best_seconds) {
-      result.best_seconds = secs;
-      result.best = cand;
-    }
-  }
-  return result;
-}
-
-namespace {
-
-/// The output width of a `msg_op` launch, resolved exactly as spmm(),
-/// attention() and attention_gpu() dispatch it: mlp aggregates to the
-/// weight's column count, copy_e to the edge feature width, every other op
-/// to the source feature width. All three tune caches key on it, so two
-/// launches of different widths never alias one cache entry.
-std::int64_t launch_d_out(const graph::Csr& adj, std::string_view msg_op,
-                          const tensor::Tensor* src_feat,
-                          const tensor::Tensor* edge_feat,
-                          const tensor::Tensor* weight) {
-  const auto defined = [](const tensor::Tensor* t) {
-    return t != nullptr && t->defined();
   };
-  if (msg_op == "mlp") {
-    FG_CHECK_MSG(defined(weight), "mlp tuning requires weight");
-    return weight->shape(1);
-  }
-  if (msg_op == "copy_e") {
-    FG_CHECK_MSG(defined(edge_feat) && adj.nnz() > 0,
-                 "copy_e tuning requires edge_feat");
-    return edge_feat->numel() / adj.nnz();
-  }
-  FG_CHECK_MSG(defined(src_feat), "tuning requires src_feat for this msg_op");
-  return src_feat->row_size();
 }
 
-struct TuneKey {
-  std::uint64_t adj_uid;  // structure uid, not address (addresses recycle)
-  std::string msg_op;
-  std::string reduce_op;
-  std::int64_t d;
-  int threads;
-  bool operator<(const TuneKey& o) const {
-    return std::tie(adj_uid, msg_op, reduce_op, d, threads) <
-           std::tie(o.adj_uid, o.msg_op, o.reduce_op, o.d, o.threads);
-  }
-};
-
-std::mutex g_tune_mutex;
-std::map<TuneKey, CpuSpmmSchedule> g_tune_cache;
-
-}  // namespace
-
-CpuSpmmSchedule tuned_spmm_schedule(const graph::Csr& adj,
-                                    std::string_view msg_op,
-                                    std::string_view reduce_op,
-                                    const SpmmOperands& operands,
-                                    int num_threads) {
-  const std::int64_t d = launch_d_out(adj, msg_op, operands.src_feat,
-                                      operands.edge_feat, operands.weight);
-  const TuneKey key{adj.uid, std::string(msg_op), std::string(reduce_op), d,
-                    num_threads};
-  {
-    std::lock_guard<std::mutex> lock(g_tune_mutex);
-    auto it = g_tune_cache.find(key);
-    if (it != g_tune_cache.end()) return it->second;
-  }
-  SpmmTuneResult tuned =
-      tune_spmm(adj, msg_op, reduce_op, operands,
-                default_spmm_candidates(d, num_threads));
-  std::lock_guard<std::mutex> lock(g_tune_mutex);
-  g_tune_cache.emplace(key, tuned.best);
-  return tuned.best;
-}
-
-SpmmTuneResult tune_attention(const graph::Csr& adj, std::string_view msg_op,
-                              const AttentionOperands& operands,
-                              std::vector<CpuSpmmSchedule> candidates,
-                              int timing_reps) {
-  FG_CHECK(!candidates.empty());
-  static obs::Counter& obs_tunes =
-      obs::Registry::global().counter("tuner.tune.count");
-  static obs::Counter& obs_trials =
-      obs::Registry::global().counter("tuner.trial.count");
-  obs_tunes.add(1);
-  FG_TRACE_SCOPE("tuner.tune", obs::arg("kind", "attention"),
-                 obs::arg("candidates",
-                          static_cast<std::int64_t>(candidates.size())));
-  SpmmTuneResult result;
-  result.best_seconds = std::numeric_limits<double>::infinity();
-  for (const auto& cand : candidates) {
-    obs_trials.add(1);
-    FG_TRACE_SCOPE("tuner.trial");
-    const double secs = support::time_mean_seconds(
-        [&] { (void)attention(adj, msg_op, cand, operands); }, timing_reps);
-    result.trials.push_back({cand, secs});
-    if (secs < result.best_seconds) {
-      result.best_seconds = secs;
-      result.best = cand;
-    }
-  }
-  return result;
-}
-
-CpuSpmmSchedule tuned_attention_schedule(const graph::Csr& adj,
-                                         std::string_view msg_op,
-                                         const AttentionOperands& operands,
-                                         int num_threads) {
-  const std::int64_t d = launch_d_out(adj, msg_op, operands.src_feat,
-                                      operands.edge_feat, operands.weight);
-  const TuneKey key{adj.uid, "attn:" + std::string(msg_op), "sum", d,
-                    num_threads};
-  {
-    std::lock_guard<std::mutex> lock(g_tune_mutex);
-    auto it = g_tune_cache.find(key);
-    if (it != g_tune_cache.end()) return it->second;
-  }
-  SpmmTuneResult tuned = tune_attention(
-      adj, msg_op, operands, default_spmm_candidates(d, num_threads));
-  std::lock_guard<std::mutex> lock(g_tune_mutex);
-  g_tune_cache.emplace(key, tuned.best);
-  return tuned.best;
-}
-
-std::function<double(const CpuSpmmSchedule&)> attention_measure_fn(
-    const graph::Csr& adj, std::string_view msg_op,
-    const AttentionOperands& operands, int timing_reps) {
+Measure<CpuSpmmSchedule> attention_measure(const graph::Csr& adj,
+                                           std::string_view msg_op,
+                                           const AttentionOperands& operands,
+                                           int timing_reps) {
   return [&adj, msg_op = std::string(msg_op), operands,
           timing_reps](const CpuSpmmSchedule& sched) {
     return support::time_mean_seconds(
@@ -267,106 +296,7 @@ std::function<double(const CpuSpmmSchedule&)> attention_measure_fn(
   };
 }
 
-// --- gpusim fused-attention axis --------------------------------------------
-
-std::vector<GpuSpmmSchedule> default_gpu_attention_candidates() {
-  std::vector<GpuSpmmSchedule> grid;
-  {
-    // The plain kernel: no staging, the whole smem budget is softmax
-    // scratch (the best a non-hybrid launch can do).
-    GpuSpmmSchedule s;
-    s.hybrid_partition = false;
-    s.attention_softmax_smem_frac = 1.0;
-    grid.push_back(s);
-  }
-  for (int rpt : {32, 64, 128}) {
-    for (double frac : {0.25, 0.5, 0.75}) {
-      for (LoadBalance ra : {LoadBalance::kNnzBalanced,
-                             LoadBalance::kStaticRows}) {
-        GpuSpmmSchedule s;
-        s.hybrid_partition = true;
-        s.hybrid_rows_per_tile = rpt;
-        s.attention_softmax_smem_frac = frac;
-        s.row_assignment = ra;
-        grid.push_back(s);
-      }
-    }
-  }
-  return grid;
-}
-
-GpuAttentionTuneResult tune_attention_gpu(
-    const graph::Csr& adj, std::string_view msg_op,
-    const AttentionOperands& operands,
-    std::vector<GpuSpmmSchedule> candidates, const gpusim::DeviceSpec& spec) {
-  FG_CHECK(!candidates.empty());
-  static obs::Counter& obs_tunes =
-      obs::Registry::global().counter("tuner.tune.count");
-  static obs::Counter& obs_trials =
-      obs::Registry::global().counter("tuner.trial.count");
-  obs_tunes.add(1);
-  FG_TRACE_SCOPE("tuner.tune", obs::arg("kind", "attention_gpu"),
-                 obs::arg("candidates",
-                          static_cast<std::int64_t>(candidates.size())));
-  GpuAttentionTuneResult result;
-  result.best_seconds = std::numeric_limits<double>::infinity();
-  for (const auto& cand : candidates) {
-    obs_trials.add(1);
-    FG_TRACE_SCOPE("tuner.trial");
-    // The objective is the SIMULATED cost — deterministic, so one
-    // evaluation per candidate and no timing reps.
-    const double secs =
-        gpusim::attention_gpu(adj, msg_op, cand, operands, spec).cost.total_s;
-    result.trials.push_back({cand, secs});
-    if (secs < result.best_seconds) {
-      result.best_seconds = secs;
-      result.best = cand;
-    }
-  }
-  return result;
-}
-
-namespace {
-
-/// (graph, kernel, width, smem budget): the smem budget is the DeviceSpec
-/// field the smem-split search is structurally sensitive to — a schedule
-/// tuned for a 96 KB block must not be served to a 48 KB one.
-struct GpuTuneKey {
-  std::uint64_t adj_uid;
-  std::string msg_op;
-  std::int64_t d;
-  std::int64_t smem_bytes_per_block;
-  bool operator<(const GpuTuneKey& o) const {
-    return std::tie(adj_uid, msg_op, d, smem_bytes_per_block) <
-           std::tie(o.adj_uid, o.msg_op, o.d, o.smem_bytes_per_block);
-  }
-};
-
-std::map<GpuTuneKey, GpuSpmmSchedule> g_gpu_attn_cache;
-
-}  // namespace
-
-GpuSpmmSchedule tuned_gpu_attention_schedule(const graph::Csr& adj,
-                                             std::string_view msg_op,
-                                             const AttentionOperands& operands,
-                                             const gpusim::DeviceSpec& spec) {
-  const std::int64_t d = launch_d_out(adj, msg_op, operands.src_feat,
-                                      operands.edge_feat, operands.weight);
-  const GpuTuneKey key{adj.uid, std::string(msg_op), d,
-                       spec.smem_bytes_per_block};
-  {
-    std::lock_guard<std::mutex> lock(g_tune_mutex);
-    auto it = g_gpu_attn_cache.find(key);
-    if (it != g_gpu_attn_cache.end()) return it->second;
-  }
-  GpuAttentionTuneResult tuned = tune_attention_gpu(
-      adj, msg_op, operands, default_gpu_attention_candidates(), spec);
-  std::lock_guard<std::mutex> lock(g_tune_mutex);
-  g_gpu_attn_cache.emplace(key, tuned.best);
-  return tuned.best;
-}
-
-std::function<double(const GpuSpmmSchedule&)> gpu_attention_measure_fn(
+Measure<GpuSpmmSchedule> gpu_attention_measure(
     const graph::Csr& adj, std::string_view msg_op,
     const AttentionOperands& operands, const gpusim::DeviceSpec& spec) {
   return [&adj, msg_op = std::string(msg_op), operands,

@@ -78,9 +78,9 @@ Tensor run_spmm(ExecContext& ctx, const graph::Csr& adj,
         core::schedule_program_hash(probe, epilogue_sig), [&] {
           core::CpuSpmmSchedule s =
               ctx.tune_block_schedules
-                  ? core::tune_spmm(adj, msg_op, reduce_op, operands,
-                                    core::default_spmm_candidates(
-                                        d_out, ctx.num_threads))
+                  ? core::tune(core::paper_spmm_space(d_out, ctx.num_threads),
+                               core::spmm_measure(adj, msg_op, reduce_op,
+                                                  operands))
                         .best
                   : core::heuristic_spmm_schedule(adj, d_out,
                                                   ctx.num_threads);

@@ -145,32 +145,22 @@ core::CpuSpmmSchedule BlockScheduleCache::schedule_for(
       obs::Registry::global().counter("cache.schedule.hit");
   static obs::Counter& obs_misses =
       obs::Registry::global().counter("cache.schedule.miss");
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      ++hits_;
-      obs_hits.add(1);
-      return it->second;
-    }
-  }
-  // Tune OUTSIDE the lock: a real tuner callback times kernel launches and
-  // must not serialize against concurrent lookups. Two racers may both tune
-  // the same fresh class; the re-check below makes the FIRST inserter the
-  // winner — a later racer discards its own schedule, returns the cached
-  // one (so every caller of one class observes one schedule), and counts a
-  // hit, keeping misses() == number of distinct classes tuned.
-  const core::CpuSpmmSchedule sched = tune();
+  // Tune UNDER the lock: concurrent first lookups of one fresh class wait
+  // for the first caller's schedule instead of each timing the whole space,
+  // so every class is tuned exactly once. Other lookups wait too while a
+  // class tunes; misses are rare in a stream of same-shaped blocks.
   std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = cache_.try_emplace(key, sched);
-  if (inserted) {
-    ++misses_;
-    obs_misses.add(1);
-  } else {
+  auto it = cache_.find(key);
+  if (it != cache_.end()) {
     ++hits_;
     obs_hits.add(1);
+    return it->second;
   }
-  return it->second;
+  const core::CpuSpmmSchedule sched = tune();
+  cache_.emplace(key, sched);
+  ++misses_;
+  obs_misses.add(1);
+  return sched;
 }
 
 std::int64_t BlockScheduleCache::hits() const {

@@ -98,12 +98,13 @@ PipelineStats run_pipeline(const NeighborSampler& sampler,
 /// program hash (core::schedule_program_hash of the Schedule-IR the caller
 /// intends to run — hash of the empty program when none) keeps two launches
 /// in the same geometric class but under DIFFERENT IR programs from
-/// aliasing one cache line. Thread-safe; `tune` runs on a miss OUTSIDE the
-/// lock (wrap a heuristic or a real tuner call — the pipeline's stream of
-/// same-shaped blocks then reuses the winner). Concurrent first lookups of
-/// one fresh class may each run `tune`, but the first inserter wins: every
-/// caller gets the SAME schedule back and the class counts exactly one
-/// miss (Pipeline.ConcurrentTunersKeepFirstScheduleAndOneMiss).
+/// aliasing one cache line. Thread-safe; `tune` runs on a miss under the
+/// cache's lock (wrap a heuristic or a real tuner call — the pipeline's
+/// stream of same-shaped blocks then reuses the winner), so concurrent
+/// first lookups of one fresh class run `tune` once: every caller gets the
+/// SAME schedule back and the class counts exactly one miss
+/// (Pipeline.ConcurrentTunersKeepFirstScheduleAndOneMiss). `tune` must not
+/// look up this cache.
 class BlockScheduleCache {
  public:
   core::CpuSpmmSchedule schedule_for(

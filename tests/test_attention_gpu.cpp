@@ -11,7 +11,6 @@
 #include <string>
 
 #include "core/attention.hpp"
-#include "core/smart_tuner.hpp"
 #include "core/tuner.hpp"
 #include "gpusim/attention_gpu.hpp"
 #include "graph/generators.hpp"
@@ -256,21 +255,24 @@ TEST(AttentionGpu, GridTunerSearchesTheGpuAttentionAxis) {
   const Fixture& f = Fixture::get();
   AttentionOperands operands;
   operands.src_feat = &f.x;
-  auto tuned = fg::core::tune_attention_gpu(
-      f.in_csr, "copy_u", operands,
-      fg::core::default_gpu_attention_candidates());
+  auto tuned = fg::core::tune(
+      fg::core::gpu_attention_space(),
+      fg::core::gpu_attention_measure(f.in_csr, "copy_u", operands));
   EXPECT_FALSE(tuned.trials.empty());
-  for (const auto& t : tuned.trials)
+  bool has_plain_full_scratch = false;
+  for (const auto& t : tuned.trials) {
     EXPECT_LE(tuned.best_seconds, t.seconds);
+    has_plain_full_scratch |= !t.schedule.hybrid_partition &&
+                              t.schedule.attention_softmax_smem_frac == 1.0;
+  }
+  EXPECT_TRUE(has_plain_full_scratch);
   // The winner is at least as good as the untuned default schedule.
   const double default_cost =
       fg::gpusim::attention_gpu(f.in_csr, "copy_u", {}, operands).cost.total_s;
   EXPECT_LE(tuned.best_seconds, default_cost);
-  // The cached entry point returns a schedule with the winning cost.
-  const fg::core::GpuSpmmSchedule best =
-      fg::core::tuned_gpu_attention_schedule(f.in_csr, "copy_u", operands);
+  // The returned schedule has the winning (deterministic) cost.
   const double best_cost =
-      fg::gpusim::attention_gpu(f.in_csr, "copy_u", best, operands)
+      fg::gpusim::attention_gpu(f.in_csr, "copy_u", tuned.best, operands)
           .cost.total_s;
   EXPECT_DOUBLE_EQ(best_cost, tuned.best_seconds);
 }
@@ -280,18 +282,26 @@ TEST(AttentionGpu, SmartTunerClimbsTheGpuAttentionLattice) {
   AttentionOperands operands;
   operands.src_feat = &f.x;
   const auto measure =
-      fg::core::gpu_attention_measure_fn(f.in_csr, "copy_u", operands);
-  fg::core::SmartTuneOptions options;
+      fg::core::gpu_attention_measure(f.in_csr, "copy_u", operands);
+  fg::core::TuneOptions options;
+  options.strategy = fg::core::TuneStrategy::kHillClimb;
   options.max_trials = 10;
-  const auto result = fg::core::smart_tune_gpu_attention(measure, options);
-  EXPECT_LE(result.trials_used, options.max_trials);
-  EXPECT_GE(result.trials_used, 1);
-  // The first seed is the default lattice point, so the winner can only
-  // improve on it.
+  const auto space = fg::core::gpu_attention_space();
+  const auto result = fg::core::tune(space, measure, options);
+  EXPECT_LE(result.trials.size(), static_cast<std::size_t>(options.max_trials));
+  EXPECT_GE(result.trials.size(), 1u);
+  // The first seed is the schedule defaults with staging on, so the winner
+  // can only improve on it.
   fg::core::GpuSpmmSchedule seed;
   seed.hybrid_partition = true;
+  const fg::core::GpuSpmmSchedule first = result.trials.front().schedule;
+  EXPECT_TRUE(first.hybrid_partition);
+  EXPECT_EQ(first.hybrid_rows_per_tile, seed.hybrid_rows_per_tile);
+  EXPECT_EQ(first.attention_softmax_smem_frac,
+            seed.attention_softmax_smem_frac);
+  EXPECT_EQ(first.row_assignment, seed.row_assignment);
   EXPECT_LE(result.best_seconds, measure(seed));
   // Deterministic objective + fixed seed => reproducible search.
-  const auto again = fg::core::smart_tune_gpu_attention(measure, options);
+  const auto again = fg::core::tune(space, measure, options);
   EXPECT_DOUBLE_EQ(again.best_seconds, result.best_seconds);
 }

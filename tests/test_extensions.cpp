@@ -1,5 +1,5 @@
-// Tests for the extension modules: the budgeted smart tuner (the paper's
-// future-work item), graph statistics, binary graph I/O, symmetric GCN
+// Tests for the extension modules: the budgeted hill-climbing tuner (the
+// paper's future-work item), graph statistics, binary graph I/O, symmetric GCN
 // normalization, and multi-head GAT.
 #include <gtest/gtest.h>
 
@@ -8,17 +8,16 @@
 #include <map>
 
 #include "core/schedule_ir.hpp"
-#include "core/smart_tuner.hpp"
 #include "core/tuner.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/stats.hpp"
 #include "minidgl/train.hpp"
-#include "support/timer.hpp"
 
 namespace fg = featgraph;
 using fg::core::CpuSpmmSchedule;
-using fg::core::SmartTuneOptions;
+using fg::core::TuneOptions;
+using fg::core::TuneStrategy;
 using fg::graph::Coo;
 using fg::tensor::Tensor;
 
@@ -41,45 +40,60 @@ double synthetic_cost(const CpuSpmmSchedule& s) {
   return 1.0 + 0.3 * (lp - 3.0) * (lp - 3.0) + 0.2 * (lt - 5.0) * (lt - 5.0);
 }
 
+/// Hill climbing under `max_trials` with the given restart seed.
+TuneOptions climb(int max_trials, std::uint64_t seed = 1) {
+  TuneOptions options;
+  options.strategy = TuneStrategy::kHillClimb;
+  options.max_trials = max_trials;
+  options.seed = seed;
+  return options;
+}
+
 }  // namespace
 
 TEST(SmartTuner, FindsUnimodalOptimumWithinBudget) {
-  // The (partitions x tiles) lattice for d=256 has 7x6 = 42 points; the
-  // climber must find the global optimum (8, 32) with under half as many
-  // measurements.
+  // The paper space for d=256 at one thread has 6 partitions x 5 tiles = 30
+  // points; the climber must find the global optimum (8, 32) with fewer
+  // measurements, and the grid must find the same winner after measuring
+  // every point once.
+  const auto space = fg::core::paper_spmm_space(256, 1);
   int calls = 0;
-  const auto result = fg::core::smart_tune_spmm(
-      256, 1,
+  const auto result = fg::core::tune(
+      space,
       [&](const CpuSpmmSchedule& s) {
         ++calls;
         return synthetic_cost(s);
       },
-      SmartTuneOptions{.max_trials = 20, .num_seeds = 3, .seed = 7});
+      climb(20, 7));
   ASSERT_NE(result.best.ir, nullptr);
   EXPECT_EQ(result.best.ir->describe(), "partition(8).tile(32)");
-  EXPECT_LE(result.trials_used, 20);
-  EXPECT_EQ(calls, result.trials_used);
+  EXPECT_LE(result.trials.size(), 20u);
+  EXPECT_EQ(static_cast<std::size_t>(calls), result.trials.size());
+
+  const auto grid = fg::core::tune(space, synthetic_cost);
+  ASSERT_NE(grid.best.ir, nullptr);
+  EXPECT_EQ(grid.best.ir->describe(), "partition(8).tile(32)");
+  EXPECT_EQ(grid.trials.size(), 30u);
+  EXPECT_DOUBLE_EQ(grid.best_seconds, result.best_seconds);
 }
 
 TEST(SmartTuner, RespectsHardBudget) {
-  const auto result = fg::core::smart_tune_spmm(
-      512, 1, [](const CpuSpmmSchedule& s) { return synthetic_cost(s); },
-      SmartTuneOptions{.max_trials = 4});
-  EXPECT_LE(result.trials_used, 4);
+  const auto result = fg::core::tune(fg::core::paper_spmm_space(512, 1),
+                                     synthetic_cost, climb(4));
+  EXPECT_LE(result.trials.size(), 4u);
   EXPECT_TRUE(std::isfinite(result.best_seconds));
 }
 
 TEST(SmartTuner, DeterministicForFixedSeed) {
   auto run = [] {
-    return fg::core::smart_tune_spmm(
-        128, 2, [](const CpuSpmmSchedule& s) { return synthetic_cost(s); },
-        SmartTuneOptions{.max_trials = 10, .seed = 42});
+    return fg::core::tune(fg::core::paper_spmm_space(128, 2), synthetic_cost,
+                          climb(10, 42));
   };
   const auto a = run();
   const auto b = run();
   EXPECT_EQ(fg::core::schedule_program_hash(a.best),
             fg::core::schedule_program_hash(b.best));
-  EXPECT_EQ(a.trials_used, b.trials_used);
+  EXPECT_EQ(a.trials.size(), b.trials.size());
 }
 
 TEST(SmartTuner, NeedsFewerTrialsThanGridOnRealKernel) {
@@ -90,18 +104,12 @@ TEST(SmartTuner, NeedsFewerTrialsThanGridOnRealKernel) {
   Tensor x = Tensor::randn({3000, 64}, 6);
   const fg::core::SpmmOperands ops{&x, nullptr, nullptr};
 
-  auto measure = [&](const CpuSpmmSchedule& s) {
-    return fg::support::time_mean_seconds(
-        [&] { (void)fg::core::spmm(in, "copy_u", "sum", s, ops); }, 1);
-  };
+  const auto space = fg::core::paper_spmm_space(64, 1);
+  const auto measure = fg::core::spmm_measure(in, "copy_u", "sum", ops);
+  const auto grid_result = fg::core::tune(space, measure);
+  const auto smart = fg::core::tune(space, measure, climb(10));
 
-  const auto grid = fg::core::default_spmm_candidates(64, 1);
-  const auto grid_result =
-      fg::core::tune_spmm(in, "copy_u", "sum", ops, grid, 1);
-  const auto smart = fg::core::smart_tune_spmm(
-      64, 1, measure, SmartTuneOptions{.max_trials = 10});
-
-  EXPECT_LT(smart.trials_used, static_cast<int>(grid.size()));
+  EXPECT_LT(smart.trials.size(), grid_result.trials.size());
   // Within 60% of the grid winner (timing noise on a busy box is real).
   EXPECT_LT(smart.best_seconds, grid_result.best_seconds * 1.6 + 1e-4);
 }

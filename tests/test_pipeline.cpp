@@ -1,8 +1,8 @@
 // Batch-parallel serving-loop behavior: every batch consumed exactly once
 // (serial runs in index order), lane-count vs serial equivalence (the "same
 // seed => same blocks at 1 vs N lanes" determinism pin, and bit-identical
-// inference at every lane count), lane exceptions, and the shape-class
-// schedule cache's hit-rate contract.
+// inference at every lane count), lane exceptions, the shape-class
+// schedule cache's hit-rate contract, and tuned block schedules.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -18,6 +18,7 @@
 #include "core/tuner.hpp"
 #include "graph/generators.hpp"
 #include "minidgl/train.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sample/feature_loader.hpp"
 #include "sample/neighbor_sampler.hpp"
@@ -467,5 +468,73 @@ TEST(Pipeline, PipelinedInferenceMatchesSerialAtEveryLaneCount) {
         EXPECT_EQ(piped.seconds, serial.seconds) << where;
       }
     }
+  }
+}
+
+TEST(Pipeline, TunedBlockSchedulesMatchTheHeuristicBitForBit) {
+  // The tuner's library caller: with tune_schedules the first block of each
+  // shape class is grid-tuned over the paper space (partitions dropped)
+  // instead of taking the heuristic. Programs do not change summation
+  // order, so minibatch inference and serving write the same bytes either
+  // way and see the same shape classes, and each class is tuned exactly
+  // once, also when batch lanes miss one class at the same time.
+  const auto data = fg::minidgl::make_sbm_classification(
+      400, 8.0, 4, 0.9, 16, 2.0f, 5);
+  std::vector<std::int64_t> rows(400);
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    rows[i] = static_cast<std::int64_t>(i);
+  std::vector<std::vector<std::int64_t>> requests;
+  for (std::int64_t r = 0; r < 16; ++r) {
+    std::vector<std::int64_t> seeds;
+    for (std::int64_t k = 0; k < 12; ++k)
+      seeds.push_back((r * 37 + k * 11) % 400);
+    requests.push_back(std::move(seeds));
+  }
+  const auto tunes = [] {
+    return fg::obs::Registry::global().counter("tuner.tune.count").value();
+  };
+  const auto bytes_equal = [](const Tensor& a, const Tensor& b) {
+    return a.numel() == b.numel() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+               0;
+  };
+  for (const int lanes : {1, 4}) {
+    fg::minidgl::ExecContext ctx;
+    ctx.num_threads = lanes;
+    fg::minidgl::Trainer trainer(
+        data, fg::minidgl::Model("sage-mean", 16, 24, 4, /*seed=*/42), ctx,
+        0.05f);
+    const std::string where = std::to_string(lanes) + " lanes";
+
+    fg::minidgl::MinibatchInferOptions opts;
+    opts.sampler.fanouts = {4, 4};
+    opts.batch_size = 50;
+    const auto heuristic = trainer.infer_minibatch(opts, rows);
+    opts.tune_schedules = true;
+    const std::int64_t infer_tunes0 = tunes();
+    const auto tuned = trainer.infer_minibatch(opts, rows);
+    EXPECT_TRUE(bytes_equal(tuned.log_probs, heuristic.log_probs)) << where;
+    ASSERT_GT(tuned.schedule_cache_misses, 0) << where;
+    EXPECT_EQ(tuned.schedule_cache_misses, heuristic.schedule_cache_misses)
+        << where;
+    EXPECT_EQ(tunes() - infer_tunes0, tuned.schedule_cache_misses) << where;
+
+    fg::minidgl::ServeRequestsOptions sopts;
+    sopts.sampler.fanouts = {4, 4};
+    sopts.admission.max_requests_per_batch = 4;
+    const auto served = trainer.serve_requests(sopts, requests);
+    sopts.tune_schedules = true;
+    const std::int64_t serve_tunes0 = tunes();
+    const auto served_tuned = trainer.serve_requests(sopts, requests);
+    ASSERT_EQ(served_tuned.outputs.size(), served.outputs.size()) << where;
+    for (std::size_t r = 0; r < served.outputs.size(); ++r)
+      EXPECT_TRUE(bytes_equal(served_tuned.outputs[r], served.outputs[r]))
+          << where << ", request " << r;
+    ASSERT_GT(served_tuned.schedule_cache_misses, 0) << where;
+    EXPECT_EQ(served_tuned.schedule_cache_misses, served.schedule_cache_misses)
+        << where;
+    EXPECT_EQ(tunes() - serve_tunes0, served_tuned.schedule_cache_misses)
+        << where;
   }
 }

@@ -2,10 +2,10 @@
 // describe(), legality diagnostics (string-returning validator so the error
 // TEXT is testable), lowering semantics (null / empty program == the
 // default plan, every transform lowered), program hashing, the tuner
-// seeding contract — the first candidate / first seed point of both widened
-// tuners is the empty program — and the legality property: every schedule
-// the heuristic, the paper grid and the paper-grid climber produce is legal
-// on every backend.
+// seeding contract — the IR space's first candidate and the paper-space
+// climb's first seed point are the empty program — and the legality
+// property: the heuristic and every point of every CPU tuner space are
+// legal on every backend.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -14,10 +14,10 @@
 #include <vector>
 
 #include "core/schedule_ir.hpp"
-#include "core/smart_tuner.hpp"
 #include "core/spmm.hpp"
 #include "core/tuner.hpp"
 #include "graph/generators.hpp"
+#include "grid_schedule.hpp"
 #include "tensor/tensor.hpp"
 
 namespace fg = featgraph;
@@ -27,6 +27,7 @@ using fg::core::LoadBalance;
 using fg::core::LoweredSpmmPlan;
 using fg::core::ScheduleIr;
 using fg::simd::Isa;
+using fg::testing::grid_points;
 
 namespace {
 
@@ -230,7 +231,7 @@ TEST(ScheduleIr, ProgramHashTracksProgramNotThreads) {
 }
 
 TEST(ScheduleIr, GridTunerFirstCandidateIsTheDefaultSchedule) {
-  const auto grid = fg::core::default_spmm_ir_candidates(kD, kRows, 1);
+  const auto grid = grid_points(fg::core::ir_spmm_space(kD, kRows, 1));
   ASSERT_GT(grid.size(), 4u);
   // Candidate #0: no program — the untuned default nest.
   EXPECT_EQ(grid[0].ir, nullptr);
@@ -249,17 +250,19 @@ TEST(ScheduleIr, GridTunerFirstCandidateIsTheDefaultSchedule) {
 
 TEST(ScheduleIr, SmartTunerFirstSeedIsTheDefaultSchedule) {
   std::vector<CpuSpmmSchedule> measured;
-  fg::core::SmartTuneOptions opts;
+  fg::core::TuneOptions opts;
+  opts.strategy = fg::core::TuneStrategy::kHillClimb;
   opts.max_trials = 6;
-  const auto result = fg::core::smart_tune_spmm_ir(
-      kD, kRows, 1,
+  const auto result = fg::core::tune(
+      fg::core::paper_spmm_space(kD, 4),
       [&](const CpuSpmmSchedule& s) {
         measured.push_back(s);
         return 1.0;  // constant cost surface: the seed point stays the winner
       },
       opts);
   ASSERT_FALSE(measured.empty());
-  EXPECT_LE(result.trials_used, opts.max_trials);
+  EXPECT_LE(result.trials.size(), static_cast<std::size_t>(opts.max_trials));
+  EXPECT_EQ(result.best.ir, nullptr);
   // First measurement = the empty program = the default schedule.
   EXPECT_EQ(measured[0].ir, nullptr);
   EXPECT_EQ(fg::core::schedule_program_hash(measured[0]),
@@ -295,11 +298,11 @@ TEST(ScheduleIr, WithoutDropsEveryTransformOfOneKind) {
 
 TEST(ScheduleIr, DefaultSchedulesAreLegalForEveryWidthAndBackend) {
   // Lowering validates every launch, so one illegal default program would
-  // abort every model: the heuristic, every paper-grid candidate and every
-  // lattice point the paper-grid climber measures must be legal for every
-  // d_out in 1..256, on every backend, at every graph size — including
-  // sources wide enough that the heuristic partitions (> 12.5 MB of
-  // 64-wide source tiles).
+  // abort every model: the heuristic and every point of every CPU tuner
+  // space (the paper space, which hill climbing walks too, and the IR
+  // list) must be legal for every d_out in 1..256, on every backend, at
+  // every graph size — including sources wide enough that the heuristic
+  // partitions (> 12.5 MB of 64-wide source tiles).
   for (const fg::graph::vid_t num_cols : {16, 60000, 1000000}) {
     fg::graph::Csr adj;
     adj.num_rows = 16;
@@ -319,23 +322,19 @@ TEST(ScheduleIr, DefaultSchedulesAreLegalForEveryWidthAndBackend) {
         for (const int threads : {1, 4}) {
           legal(fg::core::heuristic_spmm_schedule(adj, d, threads),
                 "heuristic");
-          for (const auto& s : fg::core::default_spmm_candidates(d, threads))
-            legal(s, "paper grid");
+          if (num_cols != 16) continue;  // the spaces never see the graph
+          const auto validate = [&](const char* what) {
+            return [&legal, what](const CpuSpmmSchedule& s) {
+              legal(s, what);
+              return 0.0;
+            };
+          };
+          (void)fg::core::tune(fg::core::paper_spmm_space(d, threads),
+                               validate("paper space"));
+          (void)fg::core::tune(
+              fg::core::ir_spmm_space(d, adj.num_rows, threads),
+              validate("ir space"));
         }
-        if (num_cols != 16) continue;  // the climber never sees the graph
-        fg::core::SmartTuneOptions opts;
-        opts.max_trials = 64;
-        opts.num_seeds = 4;
-        std::uint64_t cost = static_cast<std::uint64_t>(d);
-        (void)fg::core::smart_tune_spmm(
-            d, 4,
-            [&](const CpuSpmmSchedule& s) {
-              legal(s, "smart_tune_spmm");
-              // A bumpy surface so the climber wanders the lattice.
-              cost = cost * 6364136223846793005ull + 1442695040888963407ull;
-              return static_cast<double>(cost >> 40);
-            },
-            opts);
       }
     }
   }

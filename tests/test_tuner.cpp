@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <type_traits>
+#include <vector>
+
 #include "core/schedule_ir.hpp"
-#include "core/smart_tuner.hpp"
 #include "core/tuner.hpp"
 #include "graph/generators.hpp"
 #include "grid_schedule.hpp"
@@ -10,6 +15,7 @@
 namespace fg = featgraph;
 using fg::core::CpuSpmmSchedule;
 using fg::graph::Csr;
+using fg::testing::grid_points;
 using fg::testing::grid_schedule;
 using fg::tensor::Tensor;
 
@@ -28,10 +34,6 @@ fg::core::LoweredSpmmPlan plan_of(const CpuSpmmSchedule& s,
                                        fg::simd::active_isa());
 }
 
-std::uint64_t program_of(const CpuSpmmSchedule& s) {
-  return fg::core::schedule_program_hash(s);
-}
-
 std::int64_t counter(const char* name) {
   return fg::obs::Registry::global().counter(name).value();
 }
@@ -39,8 +41,8 @@ std::int64_t counter(const char* name) {
 }  // namespace
 
 TEST(Tuner, DefaultGridCoversPartitionTileAndBalanceAxes) {
-  const auto grid = fg::core::default_spmm_candidates(128, 2);
-  EXPECT_GE(grid.size(), 20u);
+  const auto grid = grid_points(fg::core::paper_spmm_space(128, 2));
+  EXPECT_EQ(grid.size(), 60u);  // 6 partitions x 5 tiles x 2 policies
   bool has_unpartitioned = false, has_partitioned = false;
   bool has_untiled = false, has_tiled = false;
   bool has_static = false, has_nnz = false;
@@ -62,36 +64,27 @@ TEST(Tuner, DefaultGridCoversPartitionTileAndBalanceAxes) {
 TEST(Tuner, SingleThreadGridSkipsRedundantBalanceAxis) {
   // At one thread both row-split policies run the identical sweep; the grid
   // should not double itself for nothing.
-  for (const auto& s : fg::core::default_spmm_candidates(128, 1))
+  for (const auto& s : grid_points(fg::core::paper_spmm_space(128, 1)))
     EXPECT_EQ(plan_of(s, 128).load_balance,
               fg::core::LoadBalance::kNnzBalanced);
 }
 
 TEST(Tuner, GridRespectsSmallFeatureLengths) {
-  for (const auto& s : fg::core::default_spmm_candidates(8, 1))
+  for (const auto& s : grid_points(fg::core::paper_spmm_space(8, 1)))
     EXPECT_LE(plan_of(s, 8).feat_tile, 8);
 }
 
 TEST(Tuner, ReturnsBestTrial) {
   Fixture f;
-  const std::vector<CpuSpmmSchedule> cands = {grid_schedule(1, 0),
-                                              grid_schedule(4, 0)};
-  const auto result = fg::core::tune_spmm(f.in_csr, "copy_u", "sum",
-                                          {&f.x, nullptr, nullptr}, cands);
+  const auto result = fg::core::tune(
+      fg::core::list_space(std::vector<CpuSpmmSchedule>{grid_schedule(1, 0),
+                                                        grid_schedule(4, 0)}),
+      fg::core::spmm_measure(f.in_csr, "copy_u", "sum",
+                             {&f.x, nullptr, nullptr}));
   ASSERT_EQ(result.trials.size(), 2u);
   double best = std::min(result.trials[0].seconds, result.trials[1].seconds);
   EXPECT_DOUBLE_EQ(result.best_seconds, best);
   EXPECT_GT(result.best_seconds, 0.0);
-}
-
-TEST(Tuner, CachedScheduleIsStable) {
-  Fixture f;
-  const auto s1 = fg::core::tuned_spmm_schedule(f.in_csr, "copy_u", "sum",
-                                                {&f.x, nullptr, nullptr}, 1);
-  const auto s2 = fg::core::tuned_spmm_schedule(f.in_csr, "copy_u", "sum",
-                                                {&f.x, nullptr, nullptr}, 1);
-  EXPECT_EQ(program_of(s1), program_of(s2));
-  EXPECT_EQ(s1.num_threads, 1);
 }
 
 TEST(Tuner, HeuristicPartitionsGrowWithGraphSize) {
@@ -110,106 +103,90 @@ TEST(Tuner, HeuristicPartitionsGrowWithGraphSize) {
 }
 
 TEST(Tuner, AttentionAxisTunesOverTheSameGrid) {
-  // The fused attention kernel joins the grid tuner: every trial runs the
-  // real kernel, the winner is the fastest trial, and the cached schedule is
-  // stable across queries (keyed separately from the plain SpMM entries).
+  // The fused attention kernel pairs a CPU space with attention_measure:
+  // every trial runs the real kernel and the winner is the fastest trial.
   Fixture f;
   fg::core::AttentionOperands ops;
   ops.src_feat = &f.x;
-  const std::vector<CpuSpmmSchedule> cands = {grid_schedule(1, 0),
-                                              grid_schedule(4, 0)};
-  const auto result = fg::core::tune_attention(f.in_csr, "copy_u", ops, cands);
+  const auto result = fg::core::tune(
+      fg::core::list_space(std::vector<CpuSpmmSchedule>{grid_schedule(1, 0),
+                                                        grid_schedule(4, 0)}),
+      fg::core::attention_measure(f.in_csr, "copy_u", ops));
   ASSERT_EQ(result.trials.size(), 2u);
   EXPECT_DOUBLE_EQ(
       result.best_seconds,
       std::min(result.trials[0].seconds, result.trials[1].seconds));
   EXPECT_GT(result.best_seconds, 0.0);
-
-  const auto s1 = fg::core::tuned_attention_schedule(f.in_csr, "copy_u", ops, 1);
-  const auto s2 = fg::core::tuned_attention_schedule(f.in_csr, "copy_u", ops, 1);
-  EXPECT_EQ(program_of(s1), program_of(s2));
-  EXPECT_EQ(s1.num_threads, 1);
 }
 
 TEST(Tuner, SmartTunerClimbsTheAttentionAxis) {
-  // The budgeted hill climber is kernel-agnostic through MeasureFn;
-  // attention_measure_fn plugs the fused kernel in. The search must respect
-  // its budget and return a measured (finite, positive) winner.
+  // Hill climbing is kernel-agnostic through the measure; attention_measure
+  // plugs the fused kernel in. The search must respect its budget and
+  // return a measured (finite, positive) winner.
   Fixture f;
   fg::core::AttentionOperands ops;
   ops.src_feat = &f.x;
-  const auto measure = fg::core::attention_measure_fn(f.in_csr, "copy_u", ops);
-  fg::core::SmartTuneOptions opts;
+  fg::core::TuneOptions opts;
+  opts.strategy = fg::core::TuneStrategy::kHillClimb;
   opts.max_trials = 6;
-  const auto result = fg::core::smart_tune_spmm(f.x.row_size(), 1, measure, opts);
-  EXPECT_LE(result.trials_used, 6);
-  EXPECT_GE(result.trials_used, 1);
+  const auto result = fg::core::tune(
+      fg::core::paper_spmm_space(f.x.row_size(), 1),
+      fg::core::attention_measure(f.in_csr, "copy_u", ops), opts);
+  EXPECT_LE(result.trials.size(), 6u);
+  EXPECT_GE(result.trials.size(), 1u);
   EXPECT_GT(result.best_seconds, 0.0);
   EXPECT_GE(fg::core::schedule_num_partitions(result.best), 1);
 }
 
-TEST(Tuner, TransfersAcrossFeatureLengthByCacheKey) {
-  // Different feature lengths tune independently (Fig. 14: optimal feature
-  // partitions scale with feature length).
-  Fixture f;
-  Tensor x64 = Tensor::randn({800, 64}, 1002);
-  const auto a = fg::core::tuned_spmm_schedule(f.in_csr, "copy_u", "sum",
-                                               {&f.x, nullptr, nullptr}, 1);
-  const auto b = fg::core::tuned_spmm_schedule(f.in_csr, "copy_u", "sum",
-                                               {&x64, nullptr, nullptr}, 1);
-  // Keys differ, so both entries exist; re-querying returns each unchanged.
-  const auto a2 = fg::core::tuned_spmm_schedule(f.in_csr, "copy_u", "sum",
-                                                {&f.x, nullptr, nullptr}, 1);
-  EXPECT_EQ(program_of(a), program_of(a2));
-  (void)b;
-}
-
-TEST(Tuner, CopyETuningKeysOnEdgeFeatureWidth) {
-  // copy_e has no source feature: the cache resolves d_out from the edge
-  // feature width, as spmm() dispatches it. One tune per distinct width.
-  Fixture f;
-  const fg::graph::eid_t nnz = f.in_csr.nnz();
-  const Tensor e1 = Tensor::randn({nnz}, 1003);
-  const Tensor e4 = Tensor::randn({nnz, 4}, 1004);
-  const std::int64_t tunes0 = counter("tuner.tune.count");
-  const auto s1 = fg::core::tuned_spmm_schedule(
-      f.in_csr, "copy_e", "sum", {nullptr, &e1, nullptr}, 1);
-  EXPECT_EQ(s1.num_threads, 1);
-  EXPECT_EQ(counter("tuner.tune.count") - tunes0, 1);
-  const Tensor out = fg::core::spmm(f.in_csr, "copy_e", "sum", s1,
-                                    {nullptr, &e1, nullptr});
-  EXPECT_EQ(out.row_size(), 1);
-  // Same width: served from the cache.
-  (void)fg::core::tuned_spmm_schedule(f.in_csr, "copy_e", "sum",
-                                      {nullptr, &e1, nullptr}, 1);
-  EXPECT_EQ(counter("tuner.tune.count") - tunes0, 1);
-  // A second edge width is a new key and re-tunes.
-  (void)fg::core::tuned_spmm_schedule(f.in_csr, "copy_e", "sum",
-                                      {nullptr, &e4, nullptr}, 1);
-  EXPECT_EQ(counter("tuner.tune.count") - tunes0, 2);
-}
-
-TEST(Tuner, GpuAttentionCopyEKeysOnEdgeFeatureWidthAndCountsTrials) {
-  // The gpusim attention cache resolves copy_e's width from the edge
-  // feature, so two edge widths never share one entry, and its grid search
-  // reports tunes and trials like the CPU tuners.
-  Fixture f;
-  const fg::graph::eid_t nnz = f.in_csr.nnz();
-  const Tensor e1 = Tensor::randn({nnz}, 1005);
-  const Tensor e4 = Tensor::randn({nnz, 4}, 1006);
-  fg::core::AttentionOperands ops;
-  ops.src_feat = &f.x;  // dot-product logits
-  ops.edge_feat = &e1;
-  const std::int64_t tunes0 = counter("tuner.tune.count");
-  const std::int64_t trials0 = counter("tuner.trial.count");
-  (void)fg::core::tuned_gpu_attention_schedule(f.in_csr, "copy_e", ops);
-  EXPECT_EQ(counter("tuner.tune.count") - tunes0, 1);
-  EXPECT_EQ(counter("tuner.trial.count") - trials0,
-            static_cast<std::int64_t>(
-                fg::core::default_gpu_attention_candidates().size()));
-  (void)fg::core::tuned_gpu_attention_schedule(f.in_csr, "copy_e", ops);
-  EXPECT_EQ(counter("tuner.tune.count") - tunes0, 1);
-  ops.edge_feat = &e4;
-  (void)fg::core::tuned_gpu_attention_schedule(f.in_csr, "copy_e", ops);
-  EXPECT_EQ(counter("tuner.tune.count") - tunes0, 2);
+TEST(Tuner, EveryStrategyAndSpaceCountsOneTuneAndEachTrial) {
+  // One instrumentation site: each tune() call, grid or hill climb, on any
+  // space, adds one tuner.tune and one tuner.trial per measurement. A grid
+  // measures every point exactly once.
+  const auto bumpy = [](std::uint64_t& state) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return 1.0 + static_cast<double>(state >> 40);
+  };
+  const auto check = [&](const auto& space, const char* name) {
+    using S = std::decay_t<decltype(space.at(space.origin))>;
+    std::size_t points = 1;
+    for (const int size : space.sizes) points *= static_cast<std::size_t>(size);
+    for (const auto strategy : {fg::core::TuneStrategy::kGrid,
+                                fg::core::TuneStrategy::kHillClimb}) {
+      fg::core::TuneOptions opts;
+      opts.strategy = strategy;
+      std::uint64_t state = 7;
+      std::size_t calls = 0;
+      const std::int64_t tunes0 = counter("tuner.tune.count");
+      const std::int64_t trials0 = counter("tuner.trial.count");
+      const auto result = fg::core::tune(
+          space,
+          fg::core::Measure<S>([&](const S&) {
+            ++calls;
+            return bumpy(state);
+          }),
+          opts);
+      const bool grid = strategy == fg::core::TuneStrategy::kGrid;
+      const std::string where =
+          std::string(name) + (grid ? " grid" : " hill climb");
+      EXPECT_EQ(counter("tuner.tune.count") - tunes0, 1) << where;
+      EXPECT_EQ(counter("tuner.trial.count") - trials0,
+                static_cast<std::int64_t>(result.trials.size()))
+          << where;
+      EXPECT_EQ(calls, result.trials.size()) << where;
+      if (grid) {
+        EXPECT_EQ(result.trials.size(), points) << where;
+      } else {
+        EXPECT_GE(result.trials.size(), 1u) << where;
+        EXPECT_LE(result.trials.size(),
+                  static_cast<std::size_t>(opts.max_trials))
+            << where;
+      }
+    }
+  };
+  check(fg::core::paper_spmm_space(64, 4), "paper space");
+  check(fg::core::ir_spmm_space(64, 4096, 4), "ir space");
+  check(fg::core::gpu_attention_space(), "gpusim attention space");
+  check(fg::core::list_space(std::vector<CpuSpmmSchedule>{
+            grid_schedule(1, 0), grid_schedule(2, 16), grid_schedule(4, 32)}),
+        "list space");
 }
